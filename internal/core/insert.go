@@ -36,6 +36,14 @@ type recContext struct {
 	anc    [][]hierarchy.ID
 }
 
+// insertScratch is the write path's reusable working memory. Inserts and
+// bulk loads hold the tree's write lock, so one per tree suffices.
+type insertScratch struct {
+	lift       []hierarchy.ID   // choose-subtree: entry values lifted level by level
+	cov1, cov2 mds.MDS          // hierarchy split: the two group covers, grown in place
+	describe   [][]hierarchy.ID // describeNodeAt: per-dimension values gathered from a subtree
+}
+
 func (t *Tree) newRecContext(rec cube.Record) (*recContext, error) {
 	space := t.space()
 	rc := &recContext{
@@ -101,7 +109,6 @@ func (t *Tree) insertLocked(rec cube.Record, log bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	recMDS := rc.recMDS
 
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
@@ -122,11 +129,11 @@ func (t *Tree) insertLocked(rec cube.Record, log bool) (uint64, error) {
 		t.root = newRoot.id
 		t.height++
 		t.rootMDS, err = mds.Cover(t.space(), res.origMDS, res.newMDS)
+		if err != nil {
+			return 0, err
+		}
 	} else {
-		t.rootMDS, err = mds.Cover(t.space(), t.rootMDS, recMDS)
-	}
-	if err != nil {
-		return 0, err
+		foldRecord(t.rootMDS, rc)
 	}
 	t.count++
 	t.metrics.inserts.Inc()
@@ -164,7 +171,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 		return insertResult{}, err
 	}
 	e := &n.entries[idx]
-	t.coverRecord(e, rc)
+	foldRecord(e.MDS, rc)
 	e.Agg.Merge(rc.agg)
 
 	res, err := t.insertInto(e.Child, e.MDS, rc)
@@ -256,18 +263,27 @@ func (t *Tree) enlargementCost(entryMDS mds.MDS, rc *recContext) (float64, error
 			continue
 		}
 		cost += pow(weight, ds.Level)
+		// Lift the entry's values one level at a time, in lockstep, until
+		// the record's ancestor is among them.
+		lift := append(t.scratch.lift[:0], ds.IDs...)
+		t.scratch.lift = lift
 		for level := ds.Level + 1; level <= h.TopLevel(); level++ {
+			parents, err := h.ParentTable(level - 1)
+			if err != nil {
+				return 0, err
+			}
 			anc := rc.anc[d][level]
 			covered := false
-			for _, v := range ds.IDs {
-				va, err := h.AncestorAt(v, level)
-				if err != nil {
-					return 0, err
+			for j, v := range lift {
+				if v.Level() != level-1 || int(v.Code()) >= len(parents) {
+					return 0, fmt.Errorf("%w: value %v in an entry at level %d", ErrCorrupt, v, level-1)
 				}
-				if va == anc {
+				p := parents[v.Code()]
+				if p == anc {
 					covered = true
 					break
 				}
+				lift[j] = p
 			}
 			if covered {
 				break // monotone: covered here means covered above too
@@ -278,14 +294,14 @@ func (t *Tree) enlargementCost(entryMDS mds.MDS, rc *recContext) (float64, error
 	return cost, nil
 }
 
-// coverRecord folds the record into an entry's MDS in place: per
-// dimension, the record's ancestor at the entry's relevant level is
-// inserted into the sorted value set if missing. Equivalent to
-// mds.Cover(e.MDS, recMDS) — levels are preserved because Cover takes the
-// maximum member level — but without re-unioning the untouched values.
-func (t *Tree) coverRecord(e *entry, rc *recContext) {
-	for d := range e.MDS {
-		ds := &e.MDS[d]
+// foldRecord folds the record into an MDS in place: per dimension, the
+// record's ancestor at the MDS's relevant level is inserted into the
+// sorted value set if missing. Equivalent to mds.Cover(m, recMDS) — levels
+// are preserved because Cover takes the maximum member level — but
+// without re-unioning the untouched values.
+func foldRecord(m mds.MDS, rc *recContext) {
+	for d := range m {
+		ds := &m[d]
 		if ds.Level == hierarchy.LevelALL {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -62,16 +63,12 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 				}
 				adapted[i] = a
 			}
-			g1, g2, err := t.hierarchySplit(adapted, dim, minFill)
+			g1, g2, ratio, err := t.hierarchySplit(adapted, dim, minFill)
 			if err != nil {
 				return insertResult{}, err
 			}
 			if len(g1) == 0 || len(g2) == 0 {
 				continue
-			}
-			ratio, err := t.groupOverlapRatio(adapted, g1, g2)
-			if err != nil {
-				return insertResult{}, err
 			}
 			balanced := len(g1) >= minFill && len(g2) >= minFill
 			if balanced && ratio <= t.cfg.MaxOverlapRatio {
@@ -100,16 +97,6 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 	t.metrics.splitsForced.Inc()
 	return t.buildSplit(n, fallback.g1, fallback.g2, fallback.adapted)
-}
-
-// adaptationTargets returns the per-dimension target levels for a split
-// along splitDim: the node's relevant levels everywhere, one level lower
-// in the split dimension — the "relevant level may be decreased by one"
-// of §3.2, which is what gives the hierarchy split values to separate
-// when the node holds a single value (or ALL) in the split dimension.
-func (t *Tree) adaptationTargets(nodeMDS mds.MDS, splitDim int) []int {
-	ladder := t.adaptationTargetLadder(nodeMDS, splitDim)
-	return ladder[0]
 }
 
 // adaptationTargetLadder returns the sequence of target-level vectors for
@@ -150,18 +137,8 @@ func (t *Tree) adaptationTargetLadder(nodeMDS mds.MDS, splitDim int) [][]int {
 // come from below. Records ground the recursion: a record is describable
 // at every level.
 func (t *Tree) describeEntryAt(e *entry, leaf bool, targets []int) (mds.MDS, error) {
-	space := t.space()
-	needDescent := false
-	if !leaf {
-		for i, target := range targets {
-			if levelAboveInt(e.MDS[i].Level, target) {
-				needDescent = true
-				break
-			}
-		}
-	}
-	if !needDescent {
-		return mds.AdaptToLevels(space, e.MDS, targets)
+	if leaf || !coarserThan(e.MDS, targets) {
+		return mds.AdaptToLevels(t.space(), e.MDS, targets)
 	}
 	child, err := t.getNode(e.Child)
 	if err != nil {
@@ -170,18 +147,94 @@ func (t *Tree) describeEntryAt(e *entry, leaf bool, targets []int) (mds.MDS, err
 	return t.describeNodeAt(child, targets)
 }
 
-// describeNodeAt computes the minimal describing MDS of a whole node's
-// content at the target levels.
-func (t *Tree) describeNodeAt(n *node, targets []int) (mds.MDS, error) {
-	members := make([]mds.MDS, len(n.entries))
-	for i := range n.entries {
-		m, err := t.describeEntryAt(&n.entries[i], n.leaf, targets)
-		if err != nil {
-			return nil, err
+// coarserThan reports whether m sits above the target level in some
+// dimension.
+func coarserThan(m mds.MDS, targets []int) bool {
+	for i, target := range targets {
+		if levelAboveInt(m[i].Level, target) {
+			return true
 		}
-		members[i] = m
 	}
-	return mds.Cover(t.space(), members...)
+	return false
+}
+
+// describeNodeAt computes the minimal describing MDS of a whole node's
+// content at the target levels: per dimension, the union of its entries'
+// descriptions (describeEntryAt). Every entry's values are gathered
+// straight into per-dimension scratch buffers, descending wherever an
+// entry is coarser than the targets, and each dimension is built from its
+// buffer once.
+func (t *Tree) describeNodeAt(n *node, targets []int) (mds.MDS, error) {
+	acc := t.scratch.describe
+	if len(acc) != len(targets) {
+		acc = make([][]hierarchy.ID, len(targets))
+	}
+	for d := range acc {
+		acc[d] = acc[d][:0]
+	}
+	err := t.gatherAt(n, targets, acc)
+	t.scratch.describe = acc
+	if err != nil {
+		return nil, err
+	}
+	out := make(mds.MDS, len(targets))
+	for d, ids := range acc {
+		if cap(ids) > maxRetainedDescribe {
+			// Describing a large subtree at a fine level gathers one value
+			// per record; do not keep such a buffer alive with the tree.
+			acc[d] = nil
+		}
+		if targets[d] == hierarchy.LevelALL {
+			out[d] = mds.AllDim()
+			continue
+		}
+		out[d] = mds.NewDimSet(targets[d], ids)
+	}
+	return out, nil
+}
+
+// maxRetainedDescribe bounds the per-dimension scratch describeNodeAt
+// keeps between calls: enough for a split's node-sized descriptions.
+const maxRetainedDescribe = 1024
+
+// gatherAt appends the values of every entry of n, lifted to the target
+// levels, to acc (one buffer per dimension; ALL targets are skipped).
+// Entries coarser than the targets contribute their subtree's values.
+func (t *Tree) gatherAt(n *node, targets []int, acc [][]hierarchy.ID) error {
+	if len(n.entries) == 0 {
+		return fmt.Errorf("%w: node %d has no entries to describe", ErrCorrupt, n.id)
+	}
+	space := t.space()
+	for i := range n.entries {
+		e := &n.entries[i]
+		if !n.leaf && coarserThan(e.MDS, targets) {
+			child, err := t.getNode(e.Child)
+			if err != nil {
+				return err
+			}
+			if err := t.gatherAt(child, targets, acc); err != nil {
+				return err
+			}
+			continue
+		}
+		for d, ds := range e.MDS {
+			target := targets[d]
+			switch target {
+			case hierarchy.LevelALL:
+			case ds.Level:
+				acc[d] = append(acc[d], ds.IDs...)
+			default:
+				for _, id := range ds.IDs {
+					anc, err := space[d].AncestorAt(id, target)
+					if err != nil {
+						return err
+					}
+					acc[d] = append(acc[d], anc)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // levelAboveInt mirrors mds's level ordering with LevelALL on top.
@@ -225,7 +278,8 @@ func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
 
 // hierarchySplit is the quadratic split of Fig. 6 over level-adapted MDSs,
 // splitting along one dimension. It returns the two groups as index lists
-// into adapted.
+// into adapted, and the overlap ratio overlap(G1,G2)/extension(G1,G2) of
+// the groups' covers — the "overlap is not too high" acceptance test.
 //
 // Seeds: the pair whose covering MDS is largest (most dead space if kept
 // together). Then, repeatedly, the remaining MDS with the greatest
@@ -238,11 +292,23 @@ func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
 // fill, the remainder is assigned to the smaller group outright —
 // without this rule the greedy loop degenerates on large supernodes,
 // where the bigger group's cover swallows everything.
-func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, err error) {
-	space := t.space()
+//
+// The members of adapted all sit at the same levels (describeEntryAt
+// adapts or descends every entry to the same targets), so a cover of any
+// of them is the per-dimension union of their value sets and every
+// volume and overlap above is a product of union and intersection
+// counts. The split counts instead of building covers: the two group
+// covers are owned scratch buffers grown in place, and only the winning
+// partition's covers are materialized, by buildSplit.
+func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, ratio float64, err error) {
 	k := len(adapted)
 	if k < 2 {
-		return nil, nil, nil
+		return nil, nil, 0, nil
+	}
+	for i := 1; i < k; i++ {
+		if !mds.SameLevels(adapted[0], adapted[i]) {
+			return nil, nil, 0, fmt.Errorf("%w: split members %d and 0 are not level-aligned", ErrCorrupt, i)
+		}
 	}
 
 	// Seed selection: pair with the largest covering MDS.
@@ -250,19 +316,17 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 	var worst float64 = -1
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			cover, err := mds.Cover(space, adapted[i], adapted[j])
-			if err != nil {
-				return nil, nil, err
-			}
-			v := cover.Volume()
-			if v > worst {
+			if v := mds.UnionVolume(adapted[i], adapted[j]); v > worst {
 				worst, seedA, seedB = v, i, j
 			}
 		}
 	}
 
 	g1, g2 = []int{seedA}, []int{seedB}
-	cov1, cov2 := adapted[seedA], adapted[seedB]
+	sc := &t.scratch
+	sc.cov1 = resetCover(sc.cov1, adapted[seedA])
+	sc.cov2 = resetCover(sc.cov2, adapted[seedB])
+	cov1, cov2 := sc.cov1, sc.cov2
 
 	remaining := make([]int, 0, k-2)
 	for i := 0; i < k; i++ {
@@ -275,11 +339,11 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		// Guttman's termination rule: if a group needs every remaining
 		// entry just to reach the minimum fill, hand them all over.
 		if len(g1)+len(remaining) <= minFill {
-			g1 = append(g1, remaining...)
+			g1 = appendGroup(g1, cov1, adapted, remaining)
 			break
 		}
 		if len(g2)+len(remaining) <= minFill {
-			g2 = append(g2, remaining...)
+			g2 = appendGroup(g2, cov2, adapted, remaining)
 			break
 		}
 		// Pick the MDS with the greatest difference between the two groups'
@@ -287,14 +351,8 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		pick := -1
 		var pickDiff float64 = -1
 		for ri, i := range remaining {
-			e1, err := dimEnlargement(space, cov1, adapted[i], dim)
-			if err != nil {
-				return nil, nil, err
-			}
-			e2, err := dimEnlargement(space, cov2, adapted[i], dim)
-			if err != nil {
-				return nil, nil, err
-			}
+			e1 := dimEnlargement(cov1, adapted[i], dim)
+			e2 := dimEnlargement(cov2, adapted[i], dim)
 			diff := abs(float64(e1 - e2))
 			if diff > pickDiff {
 				pickDiff, pick = diff, ri
@@ -302,24 +360,11 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		}
 		i := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
+		m := adapted[i]
 
-		grown1, err := mds.Cover(space, cov1, adapted[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		grown2, err := mds.Cover(space, cov2, adapted[i])
-		if err != nil {
-			return nil, nil, err
-		}
 		// Criterion 1: minimum resulting overlap between the groups.
-		ov1, err := mds.Overlap(space, grown1, cov2)
-		if err != nil {
-			return nil, nil, err
-		}
-		ov2, err := mds.Overlap(space, cov1, grown2)
-		if err != nil {
-			return nil, nil, err
-		}
+		ov1 := mds.GrownOverlap(cov1, m, cov2)
+		ov2 := mds.GrownOverlap(cov2, m, cov1)
 		into1 := false
 		switch {
 		case ov1 < ov2:
@@ -328,8 +373,9 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 			into1 = false
 		default:
 			// Criterion 2: minimum sum of extensions (volume enlargement).
-			ext1 := grown1.Volume() - cov1.Volume()
-			ext2 := grown2.Volume() - cov2.Volume()
+			vol1, vol2 := mds.UnionVolume(cov1, m), mds.UnionVolume(cov2, m)
+			ext1 := vol1 - cov1.Volume()
+			ext2 := vol2 - cov2.Volume()
 			switch {
 			case ext1 < ext2:
 				into1 = true
@@ -338,9 +384,9 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 			default:
 				// Criterion 3: minimum sum of volumes.
 				switch {
-				case grown1.Volume() < grown2.Volume():
+				case vol1 < vol2:
 					into1 = true
-				case grown1.Volume() > grown2.Volume():
+				case vol1 > vol2:
 					into1 = false
 				default:
 					// Final tie: keep the groups balanced.
@@ -350,27 +396,43 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		}
 		if into1 {
 			g1 = append(g1, i)
-			cov1 = grown1
+			mds.UnionInto(cov1, m)
 		} else {
 			g2 = append(g2, i)
-			cov2 = grown2
+			mds.UnionInto(cov2, m)
 		}
 	}
-	return g1, g2, nil
+
+	if ov := mds.IntersectVolume(cov1, cov2); ov != 0 {
+		ratio = ov / mds.UnionVolume(cov1, cov2)
+	}
+	return g1, g2, ratio, nil
+}
+
+// resetCover makes buf an owned copy of m, reusing buf's storage.
+func resetCover(buf, m mds.MDS) mds.MDS {
+	if len(buf) != len(m) {
+		buf = make(mds.MDS, len(m))
+	}
+	for d := range m {
+		buf[d].Level = m[d].Level
+		buf[d].IDs = append(buf[d].IDs[:0], m[d].IDs...)
+	}
+	return buf
+}
+
+// appendGroup adds members to a group and folds them into its cover.
+func appendGroup(group []int, cov mds.MDS, adapted []mds.MDS, members []int) []int {
+	for _, i := range members {
+		mds.UnionInto(cov, adapted[i])
+	}
+	return append(group, members...)
 }
 
 // dimEnlargement returns how many attribute values group cover g would gain
 // in the split dimension by absorbing m.
-func dimEnlargement(space mds.Space, g, m mds.MDS, dim int) (int, error) {
-	union, err := mds.ExtensionIn(space, g, m, dim)
-	if err != nil {
-		return 0, err
-	}
-	own, err := mds.ExtensionIn(space, g, g, dim)
-	if err != nil {
-		return 0, err
-	}
-	return union - own, nil
+func dimEnlargement(g, m mds.MDS, dim int) int {
+	return mds.UnionCount(g[dim].IDs, m[dim].IDs) - len(g[dim].IDs)
 }
 
 func abs(x float64) float64 {
@@ -378,32 +440,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// groupOverlapRatio measures overlap(G1,G2)/extension(G1,G2) of the two
-// groups' covers — the "overlap is not too high" acceptance test.
-func (t *Tree) groupOverlapRatio(adapted []mds.MDS, g1, g2 []int) (float64, error) {
-	space := t.space()
-	cov1, err := coverOf(space, adapted, g1)
-	if err != nil {
-		return 0, err
-	}
-	cov2, err := coverOf(space, adapted, g2)
-	if err != nil {
-		return 0, err
-	}
-	ov, err := mds.Overlap(space, cov1, cov2)
-	if err != nil {
-		return 0, err
-	}
-	if ov == 0 {
-		return 0, nil
-	}
-	ext, err := mds.Extension(space, cov1, cov2)
-	if err != nil {
-		return 0, err
-	}
-	return ov / ext, nil
 }
 
 func coverOf(space mds.Space, adapted []mds.MDS, group []int) (mds.MDS, error) {

@@ -42,6 +42,10 @@ type Tree struct {
 	height  int     // 1 = the root is a data node
 	count   int64   // live data records
 
+	// scratch is the write path's reusable working memory (guarded by
+	// mu: inserts and bulk loads hold the write lock).
+	scratch insertScratch
+
 	nextID nodeID
 	table  map[nodeID]extentRef
 	// pendingFree holds extents superseded by in-memory changes; they are

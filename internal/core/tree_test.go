@@ -745,15 +745,21 @@ func TestSplitDimensionOrder(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
+// newInsertBench is the set-up BenchmarkInsert and TestInsertAllocBudget
+// share: an empty in-memory tree and 10k records to insert.
+func newInsertBench(tb testing.TB) (*Tree, []cube.Record) {
 	cfg := DefaultConfig()
-	s := testSchema(b)
+	s := testSchema(tb)
 	tree, err := New(storage.NewMemStore(cfg.BlockSize), s, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	recs := genRecordsInto(b, s, rng, 10000)
+	return tree, genRecordsInto(tb, s, rng, 10000)
+}
+
+func BenchmarkInsert(b *testing.B) {
+	tree, recs := newInsertBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -761,6 +767,27 @@ func BenchmarkInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestInsertAllocBudget pins the insert path's allocations per record:
+// choose-subtree and the hierarchy split count over sorted value sets
+// instead of materializing candidate covers, which keeps an in-memory
+// insert, splits included, to a few dozen allocations. The count is
+// deterministic, unlike the benchmark's wall-clock figures.
+func TestInsertAllocBudget(t *testing.T) {
+	const budget = 60
+	tree, recs := newInsertBench(t)
+	i := 0
+	allocs := testing.AllocsPerRun(5000, func() {
+		if err := tree.Insert(recs[i%len(recs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > budget {
+		t.Fatalf("insert allocates %.1f objects per record, budget %d", allocs, budget)
+	}
+	t.Logf("%.1f allocs per insert", allocs)
 }
 
 func BenchmarkRangeQuery(b *testing.B) {

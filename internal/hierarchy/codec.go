@@ -109,7 +109,7 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 // top-down registration; decoding streams levels leaf-up, so a value's
 // parent ID is known before the parent value itself is materialized.
 func (h *Hierarchy) registerChildRaw(level int, parent ID, name string) (ID, error) {
-	key := scopedKey(parent, name)
+	key := internKey{parent, name}
 	if _, ok := h.intern[level][key]; ok {
 		return 0, fmt.Errorf("%w: duplicate %q at level %d", ErrInconsistent, name, level)
 	}

@@ -3,7 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Errors returned by Hierarchy operations.
@@ -38,7 +38,7 @@ type Hierarchy struct {
 	parents    [][]ID
 	valueNames [][]string
 	byLevel    [][]ID // per level, IDs in insertion (total) order
-	intern     []map[string]ID
+	intern     []map[internKey]ID
 
 	// onRegister, when set, observes every NEW value registration (never
 	// lookups of existing values). The durable tree uses it to frame
@@ -76,10 +76,10 @@ func New(name string, levelNames ...string) (*Hierarchy, error) {
 		parents:    make([][]ID, len(levelNames)),
 		valueNames: make([][]string, len(levelNames)),
 		byLevel:    make([][]ID, len(levelNames)),
-		intern:     make([]map[string]ID, len(levelNames)),
+		intern:     make([]map[internKey]ID, len(levelNames)),
 	}
 	for i := range h.intern {
-		h.intern[i] = make(map[string]ID)
+		h.intern[i] = make(map[internKey]ID)
 	}
 	return h, nil
 }
@@ -145,7 +145,7 @@ func (h *Hierarchy) Register(pathTopDown ...string) (ID, error) {
 
 // registerChild interns one value at the given level under the given parent.
 func (h *Hierarchy) registerChild(level int, parent ID, name string) (ID, error) {
-	key := scopedKey(parent, name)
+	key := internKey{parent, name}
 	if id, ok := h.intern[level][key]; ok {
 		if h.parents[level][id.Code()] != parent {
 			return 0, fmt.Errorf("%w: %q at level %d", ErrInconsistent, name, level)
@@ -180,7 +180,7 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 	if level >= len(h.levelNames) {
 		return fmt.Errorf("%w: %d in delta for %q", ErrBadLevel, level, h.name)
 	}
-	key := scopedKey(parent, name)
+	key := internKey{parent, name}
 	if have, ok := h.intern[level][key]; ok {
 		if have != id {
 			return fmt.Errorf("%w: delta %v for %q/%q, registered as %v",
@@ -207,10 +207,11 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 	return nil
 }
 
-// scopedKey scopes a value name by its parent so that identical strings
+// internKey scopes a value name by its parent so that identical strings
 // under different parents (e.g. per-nation market segments) stay distinct.
-func scopedKey(parent ID, name string) string {
-	return fmt.Sprintf("%08x/%s", uint32(parent), name)
+type internKey struct {
+	parent ID
+	name   string
 }
 
 // parentOf returns the father of a registered ID via the dense tables.
@@ -240,7 +241,7 @@ func (h *Hierarchy) Lookup(pathTopDown ...string) (ID, error) {
 	parent := ALL
 	for i, component := range pathTopDown {
 		level := h.TopLevel() - i
-		id, ok := h.intern[level][scopedKey(parent, component)]
+		id, ok := h.intern[level][internKey{parent, component}]
 		if !ok {
 			return 0, fmt.Errorf("%w: %q at level %d of %q", ErrUnknownValue, component, level, h.name)
 		}
@@ -504,5 +505,5 @@ func (h *Hierarchy) Validate() error {
 // index: by level tag, then by code — i.e. plain numeric order on the packed
 // representation.
 func SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 }

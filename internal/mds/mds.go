@@ -18,6 +18,7 @@ package mds
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -265,7 +266,7 @@ func Align(space Space, m, n MDS) (MDS, MDS, error) {
 	return am, an, nil
 }
 
-// intersectCount returns |a ∩ b| for sorted ID slices.
+// intersectCount returns |a ∩ b| for sorted, duplicate-free ID slices.
 func intersectCount(a, b []hierarchy.ID) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -283,8 +284,8 @@ func intersectCount(a, b []hierarchy.ID) int {
 	return n
 }
 
-// unionCount returns |a ∪ b| for sorted ID slices.
-func unionCount(a, b []hierarchy.ID) int {
+// UnionCount returns |a ∪ b| for sorted, duplicate-free ID slices.
+func UnionCount(a, b []hierarchy.ID) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -301,27 +302,117 @@ func unionCount(a, b []hierarchy.ID) int {
 	return n + (len(a) - i) + (len(b) - j)
 }
 
-// unionSorted returns the sorted union of two sorted ID slices.
-func unionSorted(a, b []hierarchy.ID) []hierarchy.ID {
-	out := make([]hierarchy.ID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
+// unionIntersectCount returns |(a ∪ b) ∩ c| for sorted, duplicate-free ID
+// slices without materializing a ∪ b: every value of c is counted once if
+// it occurs in either a or b.
+func unionIntersectCount(a, b, c []hierarchy.ID) int {
+	i, j, n := 0, 0, 0
+	for _, x := range c {
+		for i < len(a) && a[i] < x {
 			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
+		}
+		for j < len(b) && b[j] < x {
 			j++
 		}
+		if (i < len(a) && a[i] == x) || (j < len(b) && b[j] == x) {
+			n++
+		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return n
+}
+
+// unionInto merges the sorted, duplicate-free src into dst in place and
+// returns the grown dst. The merge runs from the back, so dst reallocates
+// only when its capacity is short of the union.
+func unionInto(dst, src []hierarchy.ID) []hierarchy.ID {
+	n := UnionCount(dst, src)
+	if n == len(dst) {
+		return dst
+	}
+	i, j := len(dst)-1, len(src)-1
+	dst = slices.Grow(dst, n-len(dst))[:n]
+	for k := n - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && dst[i] > src[j]:
+			dst[k] = dst[i]
+			i--
+		case i >= 0 && dst[i] == src[j]:
+			dst[k] = dst[i]
+			i--
+			j--
+		default:
+			dst[k] = src[j]
+			j--
+		}
+	}
+	return dst
+}
+
+// The functions below count Definition 4's measures of covers without
+// building the covers. They require level-aligned operands — SameLevels
+// holds between every pair — as the hierarchy split's members are, so a
+// cover's value set per dimension is the plain union of the operands'.
+// Each multiplies its per-dimension counts in dimension order, exactly as
+// Volume and Overlap do, so the float results are bit-identical to the
+// materialized forms named in their comments.
+
+// SameLevels reports whether m and n have equal dimension counts and the
+// same relevant level in every dimension.
+func SameLevels(m, n MDS) bool {
+	if len(m) != len(n) {
+		return false
+	}
+	for i := range m {
+		if m[i].Level != n[i].Level {
+			return false
+		}
+	}
+	return true
+}
+
+// UnionVolume returns Cover(m, n).Volume(), which for aligned operands is
+// also Extension(m, n).
+func UnionVolume(m, n MDS) float64 {
+	v := 1.0
+	for i := range m {
+		v *= float64(UnionCount(m[i].IDs, n[i].IDs))
+	}
+	return v
+}
+
+// IntersectVolume returns Overlap(m, n).
+func IntersectVolume(m, n MDS) float64 {
+	v := 1.0
+	for i := range m {
+		c := intersectCount(m[i].IDs, n[i].IDs)
+		if c == 0 {
+			return 0
+		}
+		v *= float64(c)
+	}
+	return v
+}
+
+// GrownOverlap returns Overlap(Cover(g, m), o): the overlap group cover g
+// would have with o after absorbing m.
+func GrownOverlap(g, m, o MDS) float64 {
+	v := 1.0
+	for i := range g {
+		c := unionIntersectCount(g[i].IDs, m[i].IDs, o[i].IDs)
+		if c == 0 {
+			return 0
+		}
+		v *= float64(c)
+	}
+	return v
+}
+
+// UnionInto sets g to Cover(g, m) in place, growing g's value sets by
+// merging. g owns its value sets: they are appended to.
+func UnionInto(g, m MDS) {
+	for i := range g {
+		g[i].IDs = unionInto(g[i].IDs, m[i].IDs)
+	}
 }
 
 // Overlap is Definition 4's overlap(M,N) = Πᵢ |Mᵢ ∩ Nᵢ| after aligning both
@@ -332,15 +423,7 @@ func Overlap(space Space, m, n MDS) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := 1.0
-	for i := range am {
-		c := intersectCount(am[i].IDs, an[i].IDs)
-		if c == 0 {
-			return 0, nil
-		}
-		v *= float64(c)
-	}
-	return v, nil
+	return IntersectVolume(am, an), nil
 }
 
 // Extension is Definition 4's extension(M,N) = Πᵢ |Mᵢ ∪ Nᵢ| after aligning
@@ -350,11 +433,7 @@ func Extension(space Space, m, n MDS) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := 1.0
-	for i := range am {
-		v *= float64(unionCount(am[i].IDs, an[i].IDs))
-	}
-	return v, nil
+	return UnionVolume(am, an), nil
 }
 
 // Contains reports Definition 4's containment: n contains m iff for every
@@ -435,37 +514,65 @@ func memberSorted(ids []hierarchy.ID, id hierarchy.ID) bool {
 // entries' MDSs live at lower levels than the node they came from, the
 // cover after a hierarchy split naturally "decreases the relevant level"
 // of the split dimension exactly as §3.2 describes.
+//
+// Each dimension is built in one pass: the lifted values of all members
+// are collected and handed to NewDimSet.
 func Cover(space Space, members ...MDS) (MDS, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("%w: cover of zero MDSs", ErrBadDimSet)
 	}
 	dims := len(space)
+	for _, m := range members {
+		if len(m) != dims {
+			return nil, ErrDimMismatch
+		}
+	}
 	out := make(MDS, dims)
+	var buf []hierarchy.ID
 	for i := 0; i < dims; i++ {
-		level := 0
+		level, total := 0, 0
 		for _, m := range members {
-			if len(m) != dims {
-				return nil, ErrDimMismatch
-			}
 			if levelAbove(m[i].Level, level) {
 				level = m[i].Level
 			}
+			total += len(m[i].IDs)
 		}
 		if level == hierarchy.LevelALL {
 			out[i] = AllDim()
 			continue
 		}
-		var union []hierarchy.ID
-		for _, m := range members {
-			lifted, err := liftDim(space[i], m[i], level)
-			if err != nil {
-				return nil, err
-			}
-			union = unionSorted(union, lifted.IDs)
+		if cap(buf) < total {
+			buf = make([]hierarchy.ID, 0, total)
 		}
-		out[i] = DimSet{Level: level, IDs: union}
+		buf = buf[:0]
+		for _, m := range members {
+			if m[i].Level == level {
+				buf = append(buf, m[i].IDs...)
+				continue
+			}
+			for _, id := range m[i].IDs {
+				anc, err := space[i].AncestorAt(id, level)
+				if err != nil {
+					return nil, err
+				}
+				buf = append(buf, anc)
+			}
+		}
+		out[i] = NewDimSet(level, buf)
 	}
 	return out, nil
+}
+
+// NewDimSet returns the DimSet of the given values at one level. It sorts
+// and deduplicates values in place, then copies them into an exact-size
+// slice, so a scratch buffer can gather the values and a set that is
+// stored in the tree carries no spare capacity.
+func NewDimSet(level int, values []hierarchy.ID) DimSet {
+	hierarchy.SortIDs(values)
+	values = dedupSorted(values)
+	ids := make([]hierarchy.ID, len(values))
+	copy(ids, values)
+	return DimSet{Level: level, IDs: ids}
 }
 
 // String renders the MDS compactly, e.g.
@@ -511,7 +618,7 @@ func ExtensionIn(space Space, m, n MDS, dim int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return unionCount(a.IDs, b.IDs), nil
+	return UnionCount(a.IDs, b.IDs), nil
 }
 
 func alignDim(space Space, m, n MDS, dim int) (DimSet, DimSet, error) {
