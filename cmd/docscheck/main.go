@@ -1,11 +1,11 @@
 // Command docscheck keeps the prose honest: it fails when the
 // documentation references a command-line flag no command defines, an
-// error variable no package declares, or when a Go code fence in the
-// markdown is not gofmt-formatted.
+// error variable or Go identifier no package declares, or when a Go code
+// fence in the markdown is not gofmt-formatted.
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Three
+// Run from the repository root (CI runs it as the docs-check job). Four
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -17,14 +17,23 @@
 //     core.ErrCorrupt, …) must be declared somewhere in the repository's
 //     Go source — retiring or renaming a sentinel error without updating
 //     the failure-handling docs breaks the build too.
-//  3. Every ```go fence in any root-level markdown file must survive
+//  3. Every `Config.X` / `WALOptions.X` those documents mention must be a
+//     field or method of a Go type of that name, and every inline code
+//     span that is a bare UpperCamel token (`Checkpoint`, `ErrFenced`)
+//     must be an identifier declared somewhere in the Go source — so a
+//     removed or renamed option cannot linger in the operator docs.
+//     allowedIdents lists the deliberate non-Go exceptions.
+//  4. Every ```go fence in any root-level markdown file must survive
 //     gofmt unchanged (leading 4-space indents are treated as tabs, the
 //     usual markdown rendering of Go indentation).
 package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,7 +50,22 @@ var allowedTools = map[string]bool{
 	"run": true, "short": true, "v": true, "cover": true, "tags": true,
 }
 
+// allowedIdents are bare UpperCamel tokens the docs may put in backticks
+// although the repository does not declare them (standard-library names).
+var allowedIdents = map[string]bool{
+	"Chtimes": true, // os.Chtimes, the lease heartbeat
+}
+
 var (
+	// memberRef matches a member of one of the option structs in
+	// documentation code, with or without a package qualifier
+	// (Config.CommitInterval, dctree.WALOptions.SegmentBytes).
+	memberRef = regexp.MustCompile(`\b(Config|WALOptions)\.([A-Z][A-Za-z0-9]*)`)
+	// upperCamel matches an inline code span that is exactly one exported
+	// Go-style identifier: an upper-case letter, then at least one
+	// lower-case letter or digit somewhere (so ALLCAPS like SUM or AFRICA
+	// are not identifiers).
+	upperCamel = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$`)
 	// flagDef matches flag definitions: flag.String("name", …) and
 	// fs.Bool("name", …) alike.
 	flagDef = regexp.MustCompile(`\.(?:(?:String|Bool|Int|Int64|Uint|Uint64|Float64|Duration)\(|Var\([^,]+,\s*)"([^"]+)"`)
@@ -68,6 +92,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	decl, err := declaredIdents(".")
+	if err != nil {
+		fatal(err)
+	}
 	var problems []string
 	for _, doc := range flagDocs {
 		p, err := checkFlagRefs(doc, defined)
@@ -76,6 +104,11 @@ func main() {
 		}
 		problems = append(problems, p...)
 		p, err = checkErrRefs(doc, errs)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+		p, err = checkIdentRefs(doc, decl)
 		if err != nil {
 			fatal(err)
 		}
@@ -162,6 +195,124 @@ func declaredErrors(root string) (map[string]bool, error) {
 		err = fmt.Errorf("no error declarations found under %s — run from the repository root", root)
 	}
 	return declared, err
+}
+
+// goDecls is what the repository's Go source declares: every declared
+// name, and per type name the fields and methods of types so named.
+type goDecls struct {
+	idents  map[string]bool
+	members map[string]map[string]bool
+}
+
+func (g goDecls) addMember(typ, name string) {
+	if g.members[typ] == nil {
+		g.members[typ] = make(map[string]bool)
+	}
+	g.members[typ][name] = true
+}
+
+// declaredIdents parses every Go file under root (skipping testdata and
+// hidden directories) and collects the names it declares. Type names are
+// unqualified, so Config's members are the union over every package's
+// Config — the public alias and the struct behind it alike.
+func declaredIdents(root string) (goDecls, error) {
+	g := goDecls{idents: make(map[string]bool), members: make(map[string]map[string]bool)}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				g.idents[n.Name.Name] = true
+				if n.Recv != nil && len(n.Recv.List) == 1 {
+					recv := n.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						g.addMember(id.Name, n.Name.Name)
+					}
+				}
+			case *ast.TypeSpec:
+				g.idents[n.Name.Name] = true
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							g.addMember(n.Name.Name, name.Name)
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					g.idents[name.Name] = true
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					g.idents[name.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if len(g.idents) == 0 && err == nil {
+		err = fmt.Errorf("no Go declarations found under %s — run from the repository root", root)
+	}
+	return g, err
+}
+
+// checkIdentRefs scans doc for Config/WALOptions members (inline code and
+// code fences) and bare UpperCamel inline code spans, and reports any the
+// Go source does not declare.
+func checkIdentRefs(doc string, g goDecls) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	inFence := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		var code []string
+		if inFence {
+			code = append(code, line)
+		} else {
+			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
+				code = append(code, m[1])
+				if tok := m[1]; upperCamel.MatchString(tok) && !g.idents[tok] && !allowedIdents[tok] {
+					problems = append(problems,
+						fmt.Sprintf("%s:%d: identifier %s is not declared anywhere in the Go source", doc, i+1, tok))
+				}
+			}
+		}
+		for _, c := range code {
+			for _, m := range memberRef.FindAllStringSubmatch(c, -1) {
+				if typ, name := m[1], m[2]; !g.members[typ][name] {
+					problems = append(problems,
+						fmt.Sprintf("%s:%d: %s.%s is not a field or method of any Go type %s", doc, i+1, typ, name, typ))
+				}
+			}
+		}
+	}
+	return problems, nil
 }
 
 // checkErrRefs scans doc's inline code spans and code fences for ErrXxx

@@ -217,10 +217,10 @@ func WithConfig(cfg Config) Option {
 // written ahead to the log at prefix (segment files <prefix>.<n>.wal) and
 // group-committed before the call returns. Creating (WithSchema) requires
 // an empty log; reopening replays the log tail past the last checkpoint —
-// the crash-recovery path. Pass the same write-side WALOptions (Compress,
-// RecyclePool) the tree was created with to keep them in effect; reading
-// a log never depends on them. Close the tree with Tree.Close to
-// checkpoint and release the log.
+// the crash-recovery path. Pass the same write-side WALOptions
+// (SegmentBytes, RecyclePool) the tree was created with to keep them in
+// effect; reading a log never depends on them. Close the tree with
+// Tree.Close to checkpoint and release the log.
 func WithWAL(prefix string, wopts WALOptions) Option {
 	return func(o *openOptions) { o.walPrefix = prefix; o.wopts = wopts; o.walSet = true }
 }
@@ -302,11 +302,12 @@ func OpenDurableOpts(store Store, walPrefix string, wopts WALOptions) (*Tree, er
 type WALStats = storage.WALStats
 
 // WALOptions tunes the write-ahead log's segment files: SegmentBytes
-// (rotation size), Compress (store frames compressed when that shrinks
-// them), RecyclePool (retired segments kept for reuse; 0 = default of 4,
-// negative disables), RetainSegments (extra sealed segments kept below
-// the retention floor for log-shipping followers — see REPLICATION.md),
-// and SyncDelay (modeled device latency, used by the benchmarks).
+// (rotation size), RecyclePool (retired segments kept for reuse; 0 =
+// default of 4, negative disables), RetainSegments (extra sealed segments
+// kept below the retention floor for log-shipping followers — see
+// REPLICATION.md), and SyncDelay (modeled device latency, used by the
+// benchmarks). Frames are always written uncompressed; compressed frames
+// from logs older builds wrote still replay.
 type WALOptions = storage.WALOptions
 
 // ErrChecksum reports a stored page whose checksum no longer matches its

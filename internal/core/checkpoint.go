@@ -43,7 +43,7 @@ type ckptNode struct {
 	id      nodeID
 	seq     uint64 // dirty sequence at capture; clear-if-unchanged at install
 	payload []byte
-	layout  uint8     // node encoding of payload (cfg.NodeLayout at capture)
+	layout  uint8     // node encoding of payload (v3, or v2 for version overlays)
 	need    int       // extent size in blocks
 	old     extentRef // extent superseded by this write
 	hasOld  bool
@@ -101,21 +101,14 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			t.nc.clearDirtyIf(e.id, e.seq)
 			continue
 		}
-		// Every rewrite re-encodes in the configured layout, so a v2 image
-		// upgrades to v3 extent by extent as its nodes go dirty.
-		var payload []byte
-		layout := layoutV2
-		if t.cfg.NodeLayout == 3 {
-			payload = n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
-			layout = layoutV3
-		} else {
-			payload = n.appendEncode(nil, t.schema.Dims(), t.schema.Measures())
-		}
+		// Every rewrite encodes layout v3, so an image written by an older
+		// build in layout v2 upgrades extent by extent as its nodes go dirty.
+		payload := n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
 		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
 		if need < n.blocks {
 			need = n.blocks // supernodes occupy their full logical extent
 		}
-		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, layout: layout, need: need}
+		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, layout: layoutV3, need: need}
 		if old, ok := t.table[e.id]; ok {
 			cn.old, cn.hasOld = old, true
 		}

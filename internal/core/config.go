@@ -90,17 +90,6 @@ type Config struct {
 	// write bursts. 0 selects the 256 KiB default.
 	CommitBytes int
 
-	// CommitAutoTune lets the group committer adapt its window at runtime:
-	// the effective interval tracks an EWMA of observed fsync latency (the
-	// point where batching amortizes the sync without adding avoidable
-	// latency) while sustained single-record batches collapse the window
-	// toward zero, so sparse writers pay no idle wait. CommitInterval then
-	// serves as the starting value and bounds the adapted window at 8× its
-	// setting. Like NodeLayout this is a per-open runtime knob, not
-	// persisted in the metadata. Ignored in naive mode (negative
-	// CommitInterval) and by trees without a WAL.
-	CommitAutoTune bool
-
 	// CheckpointInterval, when positive, makes a WAL-backed tree checkpoint
 	// itself in the background at least this often: dirty nodes are written
 	// with the fuzzy protocol (writers stall only for the capture and
@@ -114,32 +103,14 @@ type Config struct {
 	// under sustained writes. 0 (the default) disables the byte trigger.
 	CheckpointDirtyBytes int
 
-	// WALRecordFormat selects how mutation records are encoded into the
-	// WAL. Format 2 (the default) logs dictionary registrations as separate
-	// delta records so mutations carry compact interned IDs; format 1 is
-	// the legacy encoding that re-spells the full per-dimension string
-	// paths in every record. Recovery decodes both regardless of this
-	// setting, so the knob (and the build writing the log) can change
-	// between opens.
-	WALRecordFormat int
-
-	// NodeLayout selects how checkpoints encode node payloads. Layout 3
-	// (the default) is the fixed-stride flat encoding that memory-mapped
-	// reads walk in place without decoding; layout 2 is the legacy varint
-	// encoding. Reads decode both regardless of this setting, and the
-	// choice is deliberately not persisted in the meta page: an image
-	// written by an older build upgrades extent by extent as its nodes are
-	// rewritten by later checkpoints.
-	NodeLayout int
-
 	// SyncReplication, when positive, makes the group committer withhold
 	// write acknowledgements until that many followers have confirmed the
 	// commit LSN (1 = semi-synchronous, n = quorum of n). Followers confirm
 	// through Tree.ObserveFollowerAck, which the in-process replication
 	// source wires to the follower ack path. 0 (the default) acknowledges
-	// on local fsync alone — asynchronous replication. Like NodeLayout this
-	// is a per-open runtime knob, not persisted in the metadata; it is
-	// ignored by trees without a WAL.
+	// on local fsync alone — asynchronous replication. This is a per-open
+	// runtime knob, not persisted in the metadata; it is ignored by trees
+	// without a WAL.
 	SyncReplication int
 
 	// VersionRetention bounds how many MVCC versions the tree keeps live.
@@ -191,7 +162,6 @@ func DefaultConfig() Config {
 		MaxSupernodeBlocks: 64,
 		RefineBound:        8,
 		Materialize:        true,
-		NodeLayout:         3,
 		CommitInterval:     2 * time.Millisecond,
 		CommitBytes:        256 << 10,
 
@@ -238,14 +208,8 @@ func (c *Config) Normalize() error {
 	if c.CommitBytes == 0 {
 		c.CommitBytes = d.CommitBytes
 	}
-	if c.WALRecordFormat == 0 {
-		c.WALRecordFormat = walFormatIDs
-	}
 	if c.SyncReplicationTimeout == 0 {
 		c.SyncReplicationTimeout = d.SyncReplicationTimeout
-	}
-	if c.NodeLayout == 0 {
-		c.NodeLayout = int(layoutV3)
 	}
 	switch {
 	case c.BlockSize < 256:
@@ -268,10 +232,6 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("%w: negative checkpoint interval", ErrBadConfig)
 	case c.CheckpointDirtyBytes < 0:
 		return fmt.Errorf("%w: negative checkpoint dirty bytes", ErrBadConfig)
-	case c.WALRecordFormat != walFormatPaths && c.WALRecordFormat != walFormatIDs:
-		return fmt.Errorf("%w: wal record format %d (want 1 or 2)", ErrBadConfig, c.WALRecordFormat)
-	case c.NodeLayout != int(layoutV2) && c.NodeLayout != int(layoutV3):
-		return fmt.Errorf("%w: node layout %d (want 2 or 3)", ErrBadConfig, c.NodeLayout)
 	case c.SyncReplication < 0:
 		return fmt.Errorf("%w: negative sync replication ack count", ErrBadConfig)
 	case c.VersionRetention.KeepLast < 0:

@@ -2,8 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"github.com/dcindex/dctree/internal/storage"
 )
 
 // Fuzz targets for the decoders that consume untrusted on-disk bytes. The
@@ -17,19 +23,75 @@ func fuzzNegativeLength() []byte {
 	return append(bytes.Repeat([]byte{0xff}, 9), 0x01)
 }
 
-func FuzzDecodeWALRecord(f *testing.F) {
-	seedTree := newTestTree(f, smallConfig())
-	recs := genRecords(f, seedTree.Schema(), rand.New(rand.NewSource(1)), 3)
-	for _, op := range []byte{walOpInsert, walOpDelete} {
-		payload, err := seedTree.encodeWALRecordV1(op, recs[0])
+// goldenWALPayloads returns the logical records of a golden image's log.
+func goldenWALPayloads(f *testing.F, name string) [][]byte {
+	_, walPrefix := goldenImage(f, name)
+	w, err := storage.OpenWAL(walPrefix, storage.WALOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer w.Close()
+	var out [][]byte
+	if err := w.Replay(func(_ uint64, payload []byte) error {
+		out = append(out, append([]byte(nil), payload...))
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	return out
+}
+
+// goldenNodePayloads returns up to max node payloads of the given layout
+// from a golden image's store.
+func goldenNodePayloads(f *testing.F, name string, layout uint8, max int) [][]byte {
+	storePath, _ := goldenImage(f, name)
+	st, err := storage.OpenPagedStore(storePath, smallConfig().BlockSize, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	tree, err := Open(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ids := make([]nodeID, 0, len(tree.table))
+	for id := range tree.table {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var out [][]byte
+	for _, id := range ids {
+		ref := tree.table[id]
+		if ref.layout != layout || len(out) == max {
+			continue
+		}
+		payload, _, err := st.Read(ref.page)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(payload)
+		out = append(out, append([]byte(nil), payload...))
 	}
+	if len(out) == 0 {
+		f.Fatalf("golden image %s holds no layout-%d extents", name, layout)
+	}
+	return out
+}
+
+func FuzzDecodeWALRecord(f *testing.F) {
+	// v1 (path-spelled) records exist only in logs older builds wrote; the
+	// v1log image holds nothing else.
+	v1 := goldenWALPayloads(f, "v1log")
+	f.Add(v1[0])
+	f.Add(v1[len(v1)-1]) // a delete
+	for _, p := range goldenWALPayloads(f, "mixedlog") {
+		if p[0] == walOpInsert || p[0] == walOpDelete || p[0] == walOpDictDelta {
+			f.Add(p)
+		}
+	}
+	seedTree := newTestTree(f, smallConfig())
+	recs := genRecords(f, seedTree.Schema(), rand.New(rand.NewSource(1)), 3)
 	f.Add(encodeWALRecordV2(walOpInsert, recs[1]))
 	f.Add(encodeWALRecordV2(walOpDelete, recs[2]))
-	f.Add(encodeDictDelta([]dictDelta{{dim: 0, id: recs[0].Coords[0], name: "x"}}))
 	f.Add([]byte{})
 	f.Add([]byte{walOpDictDelta})
 	f.Add(append([]byte{walOpInsertV2}, fuzzNegativeLength()...))
@@ -92,4 +154,87 @@ func FuzzDecodeMeta(f *testing.F) {
 			t.Fatal("decoded tree root has no extent")
 		}
 	})
+}
+
+func FuzzDecodeNode(f *testing.F) {
+	for _, p := range goldenNodePayloads(f, "layoutv2", layoutV2, 6) {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{nodeFlagLeaf})
+	f.Add(append([]byte{nodeFlagLeaf}, fuzzNegativeLength()...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dims, measures := 3, 1
+		n, err := decodeNode(1, data, dims, measures)
+		if err != nil {
+			return
+		}
+		if n.blocks < 1 || uint64(n.blocks) > math.MaxUint32 {
+			t.Fatalf("decoded node has %d blocks", n.blocks)
+		}
+		// Whatever decodes must survive a re-encode round trip.
+		again, err := decodeNode(1, n.appendEncode(nil, dims, measures), dims, measures)
+		if err != nil {
+			t.Fatalf("re-encoded node does not decode: %v", err)
+		}
+		if again.leaf != n.leaf || again.blocks != n.blocks || len(again.entries) != len(n.entries) {
+			t.Fatal("re-encoded node differs")
+		}
+	})
+}
+
+func FuzzDecodeFlatNode(f *testing.F) {
+	// The v1log image's checkpoint wrote flat (v3) extents.
+	for _, p := range goldenNodePayloads(f, "v1log", layoutV3, 6) {
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{flatMagic})
+	f.Add(append([]byte{flatMagic, nodeFlagLeaf}, make([]byte, flatHeaderSize)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dims, measures := 3, 1
+		fn, err := makeFlatNode(1, data, dims, measures)
+		if err == nil {
+			// makeFlatNode vouches for the frame: every fixed-offset accessor
+			// must stay in bounds.
+			for i := 0; i < fn.count; i++ {
+				_ = fn.entryMDS(i)
+				for j := 0; j < measures; j++ {
+					_ = fn.agg(i, j)
+				}
+				if fn.leaf {
+					_ = fn.record(i)
+				} else if fn.child(i) == nilNode {
+					t.Fatalf("entry %d: nil child passed validation", i)
+				}
+			}
+		}
+		n, err := decodeFlatNode(1, data, dims, measures)
+		if err != nil {
+			return
+		}
+		if n.blocks < 1 || len(n.entries) != fn.count {
+			t.Fatalf("decoded flat node: blocks %d, %d entries", n.blocks, len(n.entries))
+		}
+	})
+}
+
+// TestDecodeNodeRejectsHugeBlockCount: a layout-v2 payload whose block
+// count exceeds the flat layout's u32 field used to decode without error
+// into a node with a negative block count.
+func TestDecodeNodeRejectsHugeBlockCount(t *testing.T) {
+	for _, blocks := range []uint64{math.MaxUint32 + 1, math.MaxUint64} {
+		payload := binary.AppendUvarint([]byte{nodeFlagLeaf}, blocks)
+		payload = binary.AppendUvarint(payload, 0) // no entries
+		if n, err := decodeNode(1, payload, 3, 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("blocks=%d: decodeNode = %+v, %v; want ErrCorrupt", blocks, n, err)
+		}
+	}
+	ok := binary.AppendUvarint([]byte{nodeFlagLeaf}, math.MaxUint32)
+	ok = binary.AppendUvarint(ok, 0)
+	if n, err := decodeNode(1, ok, 3, 1); err != nil || uint64(n.blocks) != math.MaxUint32 {
+		t.Fatalf("blocks=MaxUint32: decodeNode = %+v, %v", n, err)
+	}
 }

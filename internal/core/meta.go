@@ -21,24 +21,23 @@ import (
 // group-commit knobs (after the config flags byte) and the WAL checkpoint
 // LSN (after nextID); v3 ("DCMETA03") appends the checkpoint auto-trigger
 // knobs after CommitBytes; v4 ("DCMETA04") appends the WAL record format
-// after CheckpointDirtyBytes; v5 ("DCMETA05") appends the MVCC version
-// stamps (version-number mint, latest version ID and its LSN) after the
-// checkpoint LSN; v6 ("DCMETA06") appends a node-layout tag to every
-// translation-table entry, so reads know which extents hold the flat v3
-// encoding; v7 ("DCMETA07") appends the replication fencing epoch after
-// the version stamps, so a promoted follower's authority survives
+// slot (metaWALFormat) after CheckpointDirtyBytes; v5 ("DCMETA05") appends
+// the MVCC version stamps (version-number mint, latest version ID and its
+// LSN) after the checkpoint LSN; v6 ("DCMETA06") appends a node-layout tag
+// to every translation-table entry, so reads know which extents hold the
+// flat v3 encoding; v7 ("DCMETA07") appends the replication fencing epoch
+// after the version stamps, so a promoted follower's authority survives
 // restarts even if its WAL is later truncated away; v8 ("DCMETA08")
-// appends the version-retention knobs after the WAL record format and,
-// after the translation table, one manifest per live MVCC version
+// appends the version-retention knobs after the WAL record format slot
+// and, after the translation table, one manifest per live MVCC version
 // (identity, shape, and a table whose overlay entries point at extents
 // the checkpoint wrote) plus the pin ledger's parked-free list — so
 // versions survive checkpoints and restarts, rehydrated before the log
 // tail replays. Writing always produces v8; reading accepts all eight,
-// with newer fields defaulting to zero on older blobs (a zero record
-// format normalizes to the current default; zero version stamps mean no
-// snapshot was ever taken; a zero layout tag means the legacy varint
-// encoding; a zero epoch means the tree predates fencing and accepts any
-// source; a pre-v8 blob simply has no durable versions).
+// with newer fields defaulting to zero on older blobs (zero version stamps
+// mean no snapshot was ever taken; a zero layout tag means the legacy
+// varint encoding; a zero epoch means the tree predates fencing and
+// accepts any source; a pre-v8 blob simply has no durable versions).
 const (
 	metaMagic   = "DCMETA08"
 	metaMagicV7 = "DCMETA07"
@@ -49,6 +48,12 @@ const (
 	metaMagicV2 = "DCMETA02"
 	metaMagicV1 = "DCMETA01"
 )
+
+// metaWALFormat fills the v4+ slot that once recorded which WAL record
+// format the tree wrote. Every build now writes format 2 (dictionary
+// deltas plus interned IDs). Readers accept the legacy 1 as well and
+// otherwise ignore the slot: recovery decodes both formats per record.
+const metaWALFormat = 2
 
 // versionManifest is the durable image of one live MVCC version (meta v8):
 // everything rehydration needs to rebuild the Version handle without the
@@ -151,7 +156,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CommitBytes))
 	buf = binary.AppendVarint(buf, int64(t.cfg.CheckpointInterval))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CheckpointDirtyBytes))
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.WALRecordFormat))
+	buf = binary.AppendUvarint(buf, metaWALFormat)
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.KeepLast))
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.MaxAge))
 
@@ -295,7 +300,9 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		cfg.CheckpointDirtyBytes = int(r.uvarint())
 	}
 	if ver >= 4 {
-		cfg.WALRecordFormat = int(r.uvarint())
+		if f := r.uvarint(); r.err == nil && f != 1 && f != metaWALFormat {
+			return nil, fmt.Errorf("%w: wal record format %d", ErrCorrupt, f)
+		}
 	}
 	if ver >= 8 {
 		cfg.VersionRetention.KeepLast = int(r.varint())

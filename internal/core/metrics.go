@@ -68,10 +68,6 @@ type treeMetrics struct {
 	walBatchMax      obs.Gauge
 	walDictDeltas    obs.Counter
 	recoveryReplayed obs.Counter
-	// Group-commit autotuning: the committer's current effective window in
-	// nanoseconds, and how many batches moved it.
-	walCommitIntervalNs obs.Gauge
-	walAutotuneAdjusts  obs.Counter
 	// Replica apply mode: mutation records folded in by ApplyReplicated
 	// (dict deltas and version records are bookkeeping, like recovery).
 	replicaApplied obs.Counter
@@ -186,20 +182,13 @@ type Metrics struct {
 	WALGroupCommitBatchMean float64
 	WALGroupCommitBatchMax  int64
 	// WALDictDeltas counts dictionary registrations logged as delta
-	// entries (record format 2); WALRecycledSegments counts segment
-	// creations served from the recycle pool; WALBytesPerRecord is frame
-	// bytes written per logical record appended — the compactness signal
-	// dcbench -wal compares across record formats.
+	// entries; WALRecycledSegments counts segment creations served from
+	// the recycle pool; WALBytesPerRecord is frame bytes written per
+	// logical record appended.
 	WALDictDeltas           int64
 	WALRecycledSegments     int64
 	WALBytesPerRecord       float64
 	RecoveryReplayedRecords int64
-	// Group-commit autotuning (Config.CommitAutoTune): the committer's
-	// current effective batch window and the number of batches that moved
-	// it. Without autotuning the interval reports the configured value and
-	// the adjust counter stays zero.
-	WALCommitInterval  time.Duration
-	WALAutotuneAdjusts int64
 
 	// Replica apply mode: mutation records applied from the primary's log
 	// (ReplicaApplied) and the applied LSN frontier. Zero on non-replicas.
@@ -315,8 +304,6 @@ func (t *Tree) Metrics() Metrics {
 		WALGroupCommitBatchMax:  m.walBatchMax.Load(),
 		WALDictDeltas:           m.walDictDeltas.Load(),
 		RecoveryReplayedRecords: m.recoveryReplayed.Load(),
-		WALCommitInterval:       time.Duration(m.walCommitIntervalNs.Load()),
-		WALAutotuneAdjusts:      m.walAutotuneAdjusts.Load(),
 		ReplicaApplied:          m.replicaApplied.Load(),
 		ReplicaAppliedLSN:       t.AppliedLSN(),
 		FencingEpoch:            t.Epoch(),
@@ -445,12 +432,10 @@ func (m Metrics) Families() []obs.Family {
 				{Labels: []obs.Label{{Key: "stat", Value: "max"}}, Value: float64(m.WALGroupCommitBatchMax)},
 			},
 		},
-		obs.CounterFamily("dctree_wal_dict_deltas_total", "Dictionary registrations logged as WAL delta entries (record format 2).", m.WALDictDeltas),
+		obs.CounterFamily("dctree_wal_dict_deltas_total", "Dictionary registrations logged as WAL delta entries.", m.WALDictDeltas),
 		obs.CounterFamily("dctree_wal_recycled_segments_total", "WAL segment creations served from the recycle pool instead of a fresh create.", m.WALRecycledSegments),
 		obs.GaugeFamily("dctree_wal_bytes_per_record", "Frame bytes written to the WAL per logical record appended.", m.WALBytesPerRecord),
 		obs.CounterFamily("dctree_recovery_replayed_records_total", "WAL records re-applied by OpenDurable crash recovery.", m.RecoveryReplayedRecords),
-		obs.GaugeFamily("dctree_wal_commit_interval_seconds", "Effective group-commit batch window (adapted under CommitAutoTune).", m.WALCommitInterval.Seconds()),
-		obs.CounterFamily("dctree_wal_autotune_adjustments_total", "Group-commit batches that moved the autotuned window.", m.WALAutotuneAdjusts),
 		obs.CounterFamily("dctree_replica_applied_records_total", "Mutation records applied from the primary's log in replica mode.", m.ReplicaApplied),
 		obs.GaugeFamily("dctree_replica_applied_lsn", "Replica applied-LSN frontier (0 on non-replicas).", float64(m.ReplicaAppliedLSN)),
 		obs.GaugeFamily("dctree_fencing_epoch", "Replication fencing epoch (0 = pre-fencing, bumped by every promotion).", float64(m.FencingEpoch)),

@@ -132,7 +132,9 @@ func decodeNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 	n := &node{id: id, leaf: buf[0]&nodeFlagLeaf != 0}
 	off := 1
 	blocks, k := binary.Uvarint(buf[off:])
-	if k <= 0 || blocks < 1 {
+	// The flat layout stores blocks as a u32; anything larger is corrupt
+	// (and would overflow int(blocks) negative on the way in).
+	if k <= 0 || blocks < 1 || blocks > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: node %d blocks", ErrCorrupt, id)
 	}
 	off += k

@@ -80,7 +80,7 @@ type Tree struct {
 	// the hierarchy hooks (which fire inside Schema.InternRecord, outside
 	// t.mu) and drained into a walOpDictDelta record immediately before the
 	// next mutation record, so replayed mutations always find their IDs
-	// already registered. Only populated when WALRecordFormat is 2.
+	// already registered. Only populated on durable trees.
 	dictMu      sync.Mutex
 	dictPending []dictDelta
 

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -37,12 +36,7 @@ import (
 // time, so a replayed record may mention values the reopened dictionaries
 // have never seen. The two formats resolve that differently:
 //
-//   - v1 (WALRecordFormat 1, legacy): every mutation record re-spells the
-//     per-dimension top-down *string* paths; re-interning through
-//     Schema.InternRecord re-registers them exactly as the original insert
-//     did. Robust, but deep hierarchies pay the full path bytes on every
-//     append.
-//   - v2 (WALRecordFormat 2, default): new-value registrations are logged
+//   - v2 (the only format written): new-value registrations are logged
 //     as separate walOpDictDelta records — framed ahead of the mutation
 //     record that first needs them, inside the same tree-lock critical
 //     section, so the delta's LSN is always lower and a torn tail can
@@ -51,9 +45,13 @@ import (
 //     reopened dictionaries (idempotently: a fuzzy checkpoint may already
 //     carry a registration whose delta is past the checkpoint LSN) before
 //     re-validating mutations.
+//   - v1 (read-only legacy, written by older builds): every mutation
+//     record re-spells the per-dimension top-down *string* paths;
+//     re-interning through Schema.InternRecord re-registers them exactly
+//     as the original insert did.
 //
-// Decoding dispatches on the op byte, so logs freely mix formats and a
-// tree can reopen logs written by either setting (cross-version recovery).
+// Decoding dispatches on the op byte, so logs freely mix formats: a tree
+// whose log tail an older build wrote in v1 replays it, then logs v2.
 
 // walOp discriminates logical WAL records.
 const (
@@ -68,12 +66,6 @@ const (
 	// record, a version released after the last checkpoint would rehydrate
 	// from the checkpoint's manifest (meta v8) and resurrect on reopen.
 	walOpVersionRelease byte = 7
-)
-
-// Config.WALRecordFormat values.
-const (
-	walFormatPaths = 1 // legacy full string paths
-	walFormatIDs   = 2 // dictionary deltas + interned IDs
 )
 
 // dictDelta is one observed dictionary registration awaiting its WAL
@@ -112,18 +104,6 @@ type walState struct {
 	interval time.Duration
 	bytes    int64
 	m        *treeMetrics
-
-	// Group-commit autotuning (Config.CommitAutoTune): the committer adapts
-	// its effective window each batch instead of sleeping the fixed
-	// interval. effNs is the current window in nanoseconds (atomic: the
-	// committer stores, Metrics loads); fsyncEWMA and sparseRuns are
-	// committer-goroutine-only state — an exponentially weighted average of
-	// observed fsync latency, and how many consecutive batches held a single
-	// record (the signal that waiting buys no batching).
-	autotune   bool
-	effNs      atomic.Int64
-	fsyncEWMA  time.Duration
-	sparseRuns int
 
 	// Synchronous replication (Config.SyncReplication): when syncAcks > 0,
 	// waitDurable additionally blocks until replLSN — the syncAcks-th
@@ -170,11 +150,6 @@ func newWALState(w *storage.WAL, cfg *Config, m *treeMetrics) *walState {
 	ws.ackCond = sync.NewCond(&ws.mu)
 	ws.durableLSN = w.SyncedLSN()
 	ws.pendingLSN = w.LastLSN()
-	ws.autotune = cfg.CommitAutoTune && ws.interval > 0
-	if ws.interval > 0 {
-		ws.effNs.Store(int64(ws.interval))
-		m.walCommitIntervalNs.Set(int64(ws.interval))
-	}
 	if ws.interval >= 0 {
 		go ws.run()
 	} else {
@@ -324,8 +299,8 @@ func (ws *walState) run() {
 		fill := !ws.closing && ws.pendingB < ws.bytes
 		ws.mu.Unlock()
 
-		if iv := ws.window(); fill && iv > 0 {
-			time.Sleep(iv)
+		if fill && ws.interval > 0 {
+			time.Sleep(ws.interval)
 		}
 
 		ws.mu.Lock()
@@ -333,7 +308,6 @@ func (ws *walState) run() {
 		ws.pendingB = 0
 		ws.mu.Unlock()
 
-		syncStart := time.Now()
 		covered, err := ws.w.Sync()
 		if err != nil {
 			ws.poison(err)
@@ -348,68 +322,8 @@ func (ws *walState) run() {
 				ws.m.walBatchMax.Set(batch)
 			}
 		}
-		if ws.autotune {
-			ws.retune(time.Since(syncStart), batch)
-		}
 		ws.noteDurable(covered)
 	}
-}
-
-// window returns the batch window the committer sleeps: the configured
-// interval, or the adapted one under autotuning.
-func (ws *walState) window() time.Duration {
-	if ws.autotune {
-		return time.Duration(ws.effNs.Load())
-	}
-	return ws.interval
-}
-
-// retune adapts the group-commit window after one batch. Committer
-// goroutine only. Two forces act on the window:
-//
-//   - Sustained batching pulls it toward the fsync-latency EWMA: while one
-//     sync is in flight the next batch fills for free, so a window much
-//     longer than the sync adds latency without batching more, and a much
-//     shorter one issues syncs faster than the device completes them.
-//     The pull is gradual (a quarter of the gap per batch) so one outlier
-//     sync cannot yank the window.
-//   - Consecutive single-record batches mean arrivals are sparser than the
-//     window: waiting delayed the lone record and batched nothing, so the
-//     window halves toward zero and solo writers converge on sync-per-append
-//     latency. One sparse batch is ignored — bursty workloads routinely
-//     trail a burst with a straggler.
-//
-// The window is clamped to [0, 8×CommitInterval], so the configured value
-// keeps its meaning as the knob an operator reasons about.
-func (ws *walState) retune(fsync time.Duration, batch int64) {
-	if ws.fsyncEWMA == 0 {
-		ws.fsyncEWMA = fsync
-	} else {
-		ws.fsyncEWMA += (fsync - ws.fsyncEWMA) / 4
-	}
-	if batch <= 1 {
-		ws.sparseRuns++
-	} else {
-		ws.sparseRuns = 0
-	}
-	cur := time.Duration(ws.effNs.Load())
-	var next time.Duration
-	if ws.sparseRuns >= 2 {
-		next = cur / 2
-	} else {
-		next = cur + (ws.fsyncEWMA-cur)/4
-	}
-	if lim := 8 * ws.interval; next > lim {
-		next = lim
-	}
-	if next < 0 {
-		next = 0
-	}
-	if next != cur {
-		ws.effNs.Store(int64(next))
-		ws.m.walAutotuneAdjusts.Inc()
-	}
-	ws.m.walCommitIntervalNs.Set(int64(next))
 }
 
 // noteDurable advances the durable frontier and wakes acknowledgment
@@ -464,52 +378,6 @@ func (ws *walState) shutdown() error {
 
 // ErrClosed is returned by operations on a closed tree.
 var ErrClosed = errors.New("dctree: tree is closed")
-
-// encodeWALRecord serializes one logical mutation in the tree's configured
-// record format.
-func (t *Tree) encodeWALRecord(op byte, rec cube.Record) ([]byte, error) {
-	if t.cfg.WALRecordFormat == walFormatIDs {
-		return encodeWALRecordV2(op, rec), nil
-	}
-	return t.encodeWALRecordV1(op, rec)
-}
-
-// encodeWALRecordV1 serializes one logical mutation in the legacy format:
-// op byte, measures, then per dimension the top-down path of value names
-// (length-prefixed each, so names may contain any byte).
-func (t *Tree) encodeWALRecordV1(op byte, rec cube.Record) ([]byte, error) {
-	buf := []byte{op}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Measures)))
-	for _, m := range rec.Measures {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m))
-	}
-	space := t.space()
-	buf = binary.AppendUvarint(buf, uint64(len(space)))
-	for d, h := range space {
-		depth := h.Depth()
-		names := make([]string, depth)
-		cur := rec.Coords[d]
-		for l := 0; l < depth; l++ {
-			name, err := h.ValueName(cur)
-			if err != nil {
-				return nil, err
-			}
-			names[l] = name
-			if l+1 < depth {
-				cur, err = h.Parent(cur)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(depth))
-		for l := depth - 1; l >= 0; l-- { // top-down
-			buf = binary.AppendUvarint(buf, uint64(len(names[l])))
-			buf = append(buf, names[l]...)
-		}
-	}
-	return buf, nil
-}
 
 // encodeWALRecordV2 serializes one logical mutation in the compact format:
 // op byte, measures, then one interned leaf ID per dimension. The IDs are
@@ -725,15 +593,12 @@ func decodeVersionReleaseRecord(payload []byte) (uint64, error) {
 }
 
 // installDictHooks arms the per-dimension registration hooks that feed
-// dictionary deltas into dictPending. Called once a durable tree's record
-// format is known to be v2 — AFTER the initial checkpoint (NewDurable) or
-// recovery (OpenDurable), whose own registrations need no deltas: the
-// former persists the dictionaries in meta, the latter's source records
-// stay in the log until a checkpoint supersedes them.
+// dictionary deltas into dictPending. Called on a durable tree AFTER the
+// initial checkpoint (NewDurable) or recovery (OpenDurable), whose own
+// registrations need no deltas: the former persists the dictionaries in
+// meta, the latter's source records stay in the log until a checkpoint
+// supersedes them.
 func (t *Tree) installDictHooks() {
-	if t.cfg.WALRecordFormat != walFormatIDs {
-		return
-	}
 	for d := 0; d < t.schema.Dims(); d++ {
 		h, err := t.schema.Dim(d)
 		if err != nil {
@@ -748,9 +613,9 @@ func (t *Tree) installDictHooks() {
 	}
 }
 
-// logMutation appends the logical record for an applied mutation — preceded,
-// in v2 format, by a dict delta record for any registrations observed since
-// the last mutation. Called under the tree write lock, after the in-memory
+// logMutation appends the logical record for an applied mutation — preceded
+// by a dict delta record for any registrations observed since the last
+// mutation. Called under the tree write lock, after the in-memory
 // mutation succeeded, so the delta's LSN is strictly below the mutation's
 // and no later mutation can slip between them. Returns the LSN to wait on
 // (0 when the tree has no WAL).
@@ -758,23 +623,17 @@ func (t *Tree) logMutation(op byte, rec cube.Record) (uint64, error) {
 	if t.wal == nil {
 		return 0, nil
 	}
-	if t.cfg.WALRecordFormat == walFormatIDs {
-		t.dictMu.Lock()
-		deltas := t.dictPending
-		t.dictPending = nil
-		t.dictMu.Unlock()
-		if len(deltas) > 0 {
-			if _, err := t.wal.append(encodeDictDelta(deltas)); err != nil {
-				return 0, err
-			}
-			t.metrics.walDictDeltas.Add(int64(len(deltas)))
+	t.dictMu.Lock()
+	deltas := t.dictPending
+	t.dictPending = nil
+	t.dictMu.Unlock()
+	if len(deltas) > 0 {
+		if _, err := t.wal.append(encodeDictDelta(deltas)); err != nil {
+			return 0, err
 		}
+		t.metrics.walDictDeltas.Add(int64(len(deltas)))
 	}
-	payload, err := t.encodeWALRecord(op, rec)
-	if err != nil {
-		return 0, err
-	}
-	return t.wal.append(payload)
+	return t.wal.append(encodeWALRecordV2(op, rec))
 }
 
 // waitDurable blocks until the given LSN is durable. No-op for trees
@@ -845,9 +704,8 @@ func OpenDurable(store storage.Store, walPrefix string) (*Tree, error) {
 }
 
 // OpenDurableOpts is OpenDurable with explicit WAL options. Reopening is
-// where the write-side knobs (compression, recycle pool) must be
-// re-passed to stay in effect — the log file itself records per frame
-// whether it is compressed, so reading never depends on them.
+// where the write-side knobs (segment size, recycle pool) must be
+// re-passed to stay in effect; reading the log never depends on them.
 func OpenDurableOpts(store storage.Store, walPrefix string, wopts storage.WALOptions) (*Tree, error) {
 	t, err := Open(store)
 	if err != nil {

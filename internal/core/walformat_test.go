@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -12,9 +13,9 @@ import (
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// Tests for WAL record format v2 (dictionary deltas + interned IDs), the
-// cross-version decode path, and the satellite bug regressions in the same
-// layer.
+// Tests for WAL record format v2 (dictionary deltas + interned IDs) and
+// bug regressions in the same layer. The v1 decode path is pinned by the
+// golden images in golden_test.go.
 
 // newDurableOnDisk creates a WAL-backed tree on real files and returns it
 // with its paths (so tests can snapshot crash images).
@@ -51,7 +52,7 @@ func recoverImage(t *testing.T, cfg Config, storePath, walPrefix, dir string) *T
 	return ctree
 }
 
-// TestV2FormatCrashRecovery: the default (v2) format survives a crash with
+// TestV2FormatCrashRecovery: the v2 format survives a crash with
 // NO checkpoint after the inserts — every dictionary registration must come
 // back from the logged deltas alone, and the ID-only mutation records must
 // resolve against them.
@@ -59,9 +60,6 @@ func TestV2FormatCrashRecovery(t *testing.T) {
 	cfg := durableConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
-	if tree.cfg.WALRecordFormat != walFormatIDs {
-		t.Fatalf("default WALRecordFormat = %d, want %d", tree.cfg.WALRecordFormat, walFormatIDs)
-	}
 	rng := rand.New(rand.NewSource(21))
 	recs := genRecords(t, tree.Schema(), rng, 120)
 	for _, r := range recs {
@@ -120,77 +118,6 @@ func TestV2DictDeltaCheckpointOverlap(t *testing.T) {
 
 	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
 	verifyAgainstOracle(t, ctree, append(append([]cube.Record{}, recs...), late), 30, 6)
-}
-
-// TestCrossVersionV1LogRecovery: a log written entirely in the legacy
-// string-path format (what the previous build produced) must still recover
-// to seqscan-oracle equality under the current build.
-func TestCrossVersionV1LogRecovery(t *testing.T) {
-	cfg := durableConfig()
-	cfg.WALRecordFormat = walFormatPaths
-	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(33))
-	recs := genRecords(t, tree.Schema(), rng, 100)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	live := recs
-	for i := 0; i < 10; i++ {
-		if err := tree.Delete(live[0]); err != nil {
-			t.Fatal(err)
-		}
-		live = live[1:]
-	}
-	if n := tree.Metrics().WALDictDeltas; n != 0 {
-		t.Fatalf("v1 format logged %d dict deltas, want 0", n)
-	}
-
-	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
-	if got := ctree.Config().WALRecordFormat; got != walFormatPaths {
-		t.Fatalf("recovered tree format = %d, want persisted %d", got, walFormatPaths)
-	}
-	if n := ctree.Metrics().RecoveryReplayedRecords; n != int64(len(recs)+10) {
-		t.Fatalf("replayed %d records, want %d", n, len(recs)+10)
-	}
-	verifyAgainstOracle(t, ctree, live, 30, 34)
-}
-
-// TestMixedFormatLogRecovery: v1 and v2 records interleaved in one log (a
-// build upgrade mid-log) replay correctly — decode dispatches per record.
-func TestMixedFormatLogRecovery(t *testing.T) {
-	cfg := durableConfig()
-	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(44))
-	recs := genRecords(t, tree.Schema(), rng, 60) // v2 records
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Splice a legacy-format record into the same log, the way a not-yet-
-	// upgraded writer would have: full string paths, no delta dependency.
-	legacy, err := tree.Schema().InternRecord([][]string{
-		{"R-v1", "N-v1", "C-v1"}, {"B-v1", "P-v1"}, {"Y-v1", "M-v1"},
-	}, []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := tree.encodeWALRecordV1(walOpInsert, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.wal.append(payload); err != nil {
-		t.Fatal(err)
-	}
-
-	// The live tree never applied the spliced record, so only the crash
-	// image sees it: recovery must surface exactly recs + legacy.
-	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
-	verifyAgainstOracle(t, ctree, append(append([]cube.Record{}, recs...), legacy), 30, 45)
 }
 
 // TestNaiveModeBatchMaxMetric is the satellite #4 regression: naive commit
@@ -331,5 +258,41 @@ func TestApplyDictDeltaRoundTrip(t *testing.T) {
 	hole := encodeDictDelta([]dictDelta{{dim: 0, id: hierarchy.MakeID(0, 5), parent: hierarchy.ALL, name: "gap"}})
 	if err := applyDictDelta(testSchema(t), hole); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("code-hole delta: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestMetaWALFormatSlot: the meta v4+ slot that once selected the WAL
+// record format is written as 2; the reader accepts the legacy 1 as well,
+// ignores it, and rejects any other value as corruption.
+func TestMetaWALFormatSlot(t *testing.T) {
+	cfg := smallConfig()
+	cfg.CheckpointDirtyBytes = 987654321 // distinctive bytes just before the slot
+	tree := newTestTree(t, cfg)
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tree.mu.Lock()
+	blob, err := tree.encodeMeta(tree.metaSnapshotLocked())
+	tree.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := binary.AppendUvarint(nil, uint64(cfg.CheckpointDirtyBytes))
+	idx := bytes.Index(blob, append(marker, metaWALFormat))
+	if idx < 0 || bytes.Count(blob, marker) != 1 {
+		t.Fatal("format slot not found in blob")
+	}
+	slot := idx + len(marker)
+	for _, v := range []byte{0, 1, 2, 3, 0x7f} {
+		patched := append([]byte{}, blob...)
+		patched[slot] = v
+		_, err := decodeMeta(patched)
+		if v == 1 || v == 2 {
+			if err != nil {
+				t.Fatalf("format %d rejected: %v", v, err)
+			}
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("format %d: %v, want ErrCorrupt", v, err)
+		}
 	}
 }

@@ -117,103 +117,6 @@ func TestZeroCopyScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestLayoutV2Upgrade: an image written with the legacy varint layout
-// opens and answers queries (via the decode path), and its extents upgrade
-// to the flat layout as checkpoints rewrite them.
-func TestLayoutV2Upgrade(t *testing.T) {
-	cfg := smallConfig()
-	cfg.NodeLayout = 2
-	path := filepath.Join(t.TempDir(), "index.dc")
-	st, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testSchema(t)
-	tree, err := New(st, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(43))
-	recs := genRecords(t, s, rng, 400)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := randomQuery(rng, s, 0.4)
-	want, err := tree.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := tree.VerifyExtents(); rep.LayoutV3 != 0 || rep.LayoutV2 != rep.Extents {
-		t.Fatalf("v2 image layout census: %+v", rep)
-	}
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with the default config: reads must keep working through the
-	// decode path, with zero flat reads.
-	st2, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	tree2, err := Open(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree2.Close()
-	got, err := tree2.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !aggMatches(got, want) {
-		t.Fatalf("reopened v2 image: %+v, want %+v", got, want)
-	}
-	if m := tree2.Metrics(); m.FlatNodeReads != 0 {
-		t.Fatalf("flat reads served from a v2 image: %+v", m)
-	}
-
-	// Delete+reinsert every record dirties each leaf's root path, so the
-	// next checkpoint rewrites (and thereby upgrades) those extents.
-	for _, r := range recs {
-		if err := tree2.Delete(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := tree2.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep := tree2.VerifyExtentsOpts(VerifyOpts{Mmap: true})
-	if !rep.OK() {
-		t.Fatalf("verify after upgrade: %+v", rep.Errors)
-	}
-	if rep.LayoutV3 == 0 {
-		t.Fatalf("no extents upgraded to the flat layout: %+v", rep)
-	}
-	tree2.EvictCache()
-	got, err = tree2.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !aggMatches(got, want) {
-		t.Fatalf("after upgrade: %+v, want %+v", got, want)
-	}
-	if m := tree2.Metrics(); m.FlatNodeReads == 0 {
-		t.Fatalf("upgraded image served no flat reads: %+v", m)
-	}
-}
-
 // TestSnapshotFlatViewsSurviveChurn: as-of queries over flat views run
 // lock-free while writers grow and checkpoint the tree — remaps happen
 // mid-descent and checkpoint installs land while extents are mapped and

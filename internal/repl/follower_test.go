@@ -34,7 +34,6 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 
 	cfg := core.DefaultConfig()
 	cfg.CommitInterval = 100 * time.Microsecond
-	cfg.CommitAutoTune = true
 	cfg.CheckpointInterval = 50 * time.Millisecond
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,

@@ -70,7 +70,7 @@ type WAL struct {
 	appends  atomic.Int64
 	syncs    atomic.Int64
 	appended atomic.Int64 // logical payload bytes appended
-	stored   atomic.Int64 // frame bytes written (overhead + stored payload)
+	stored   atomic.Int64 // frame bytes written (overhead + payload)
 	recycled atomic.Int64 // segments reused from the recycle pool
 	// syncedLSN tracks the LSN half of the durable frontier (updated by
 	// Sync and by rotation, whose fsync seals a whole segment); the byte
@@ -132,11 +132,6 @@ type WALOptions struct {
 	// disk-bound regime (commit latencies in the milliseconds) that fast
 	// container filesystems hide. 0 in production.
 	SyncDelay time.Duration
-	// Compress LZ-compresses record payloads on append (per frame, flagged
-	// in the frame's length word; frames that do not shrink stay raw).
-	// Replay is format-agnostic, so logs mix compressed and raw frames
-	// freely and the knob can change between opens.
-	Compress bool
 	// RecyclePool caps how many truncated/rotated-out segment files are
 	// kept (renamed, not removed) for reuse by the next segment creation,
 	// avoiding the create/remove metadata churn of every checkpoint.
@@ -154,8 +149,8 @@ type WALOptions struct {
 type WALStats struct {
 	Appends       int64 // records appended
 	Syncs         int64 // fsync calls issued
-	BytesAppended int64 // logical payload bytes appended (pre-compression)
-	BytesStored   int64 // frame bytes written: overhead + (compressed) payload
+	BytesAppended int64 // logical payload bytes appended
+	BytesStored   int64 // frame bytes written: overhead + payload
 	Records       int64 // records currently stored (since last truncate)
 	Segments      int   // segment files currently on disk (excluding the pool)
 	Recycled      int64 // segment creations served from the recycle pool
@@ -182,10 +177,10 @@ const (
 	walMaxRecord       = 64 << 20
 	walDefaultSeg      = 4 << 20
 	walDefaultPool     = 4
-	// walFrameCompressed flags a frame whose payload is walCompress output
-	// in the top bit of the frame's length word (lengths are ≤ 64 MiB, so
-	// the bit is otherwise always clear — including in every v1 log, which
-	// therefore stays readable unchanged).
+	// walFrameCompressed flags, in the top bit of a frame's length word, a
+	// payload compressed by an older build (walcompress.go; lengths are
+	// ≤ 64 MiB, so the bit is otherwise always clear). Only read, never
+	// written.
 	walFrameCompressed = uint32(1) << 31
 )
 
@@ -593,25 +588,17 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	stored := payload
-	lengthWord := uint32(len(payload))
-	if w.opts.Compress {
-		if c := walCompress(payload); c != nil {
-			stored = c
-			lengthWord = uint32(len(c)) | walFrameCompressed
-		}
-	}
 	var hdr [walFrameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[:], lengthWord)
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(stored))
-	w.buf = append(append(w.buf, hdr[:]...), stored...)
-	w.size += walFrameOverhead + int64(len(stored))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	w.buf = append(append(w.buf, hdr[:]...), payload...)
+	w.size += walFrameOverhead + int64(len(payload))
 	lsn := w.nextLSN
 	w.nextLSN++
 	w.records++
 	w.appends.Add(1)
 	w.appended.Add(int64(len(payload)))
-	w.stored.Add(walFrameOverhead + int64(len(stored)))
+	w.stored.Add(walFrameOverhead + int64(len(payload)))
 	return lsn, nil
 }
 

@@ -3,8 +3,8 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,134 +12,157 @@ import (
 	"testing"
 )
 
-func TestWALCompressRoundTrip(t *testing.T) {
-	cases := [][]byte{
-		[]byte(strings.Repeat("warehouse/region/emea/", 40)),
-		[]byte(strings.Repeat("a", 500)),
-		bytes.Repeat([]byte{0x00, 0x01, 0x02, 0x03}, 64),
-		[]byte("short"), // below walCompressMin: must decline
+// Compressed WAL frames (bit 31 of the length word) are no longer written,
+// but logs and shipped segments from older builds still carry them. These
+// tests pin the read side against testdata/golden/mixedframes, a segment an
+// older build wrote with compression on for its first 24 records and off
+// for the last 12 (see testdata/golden/README).
+
+const goldenFramesDir = "testdata/golden/mixedframes"
+
+// goldenFrames copies the golden segment into a temp dir and returns the
+// copy's WAL prefix, its segment path, and the logical payloads the
+// segment holds in LSN order.
+func goldenFrames(t *testing.T) (prefix, segPath string, want [][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	segPath = filepath.Join(dir, "idx.00000001.wal")
+	data, err := os.ReadFile(filepath.Join(goldenFramesDir, "idx.00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, src := range cases {
-		c := walCompress(src)
-		if c == nil {
-			if len(src) >= walCompressMin && bytes.Contains(src, src[:8]) && len(src) > 100 {
-				t.Errorf("case %d: highly repetitive input not compressed", i)
-			}
-			continue
-		}
-		if len(c) >= len(src) {
-			t.Fatalf("case %d: walCompress returned non-shrinking output", i)
-		}
-		got, err := walDecompress(c)
+	if err := os.WriteFile(segPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := os.ReadFile(filepath.Join(goldenFramesDir, "payloads.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Fields(string(lines)) {
+		p, err := hex.DecodeString(line)
 		if err != nil {
-			t.Fatalf("case %d: walDecompress: %v", i, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("case %d: roundtrip mismatch", i)
-		}
+		want = append(want, p)
 	}
+	return filepath.Join(dir, "idx"), segPath, want
 }
 
-func TestWALCompressIncompressibleStoredRaw(t *testing.T) {
-	// Pseudo-random bytes (xorshift, no repeated 4-grams to speak of) must
-	// be declined so the frame is stored raw.
-	src := make([]byte, 4096)
-	x := uint32(0x9e3779b9)
-	for i := range src {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		src[i] = byte(x)
+// frameFlags walks the frames of a segment body and reports, per frame,
+// its offset and whether its compressed flag is set.
+func frameFlags(t *testing.T, body []byte) (offs []int64, compressed []bool) {
+	t.Helper()
+	var off int64
+	for off < int64(len(body)) {
+		n, ok := frameAt(body, off)
+		if !ok {
+			t.Fatalf("invalid frame at %d", off)
+		}
+		offs = append(offs, off)
+		compressed = append(compressed, binary.LittleEndian.Uint32(body[off:])&walFrameCompressed != 0)
+		off += n
 	}
-	if c := walCompress(src); c != nil {
-		t.Fatalf("incompressible input compressed to %d bytes", len(c))
-	}
+	return offs, compressed
 }
 
 func TestWALCompressedLogRoundTrip(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "idx")
-	opts := WALOptions{SegmentBytes: 4096, Compress: true}
-	w := openTestWAL(t, prefix, opts)
-	var want []string
-	for i := 0; i < 200; i++ {
-		// Compression is per frame, so the redundancy it can recover is the
-		// redundancy WITHIN one record — which v1 mutation records have in
-		// spades: every dimension re-spells shared path prefixes.
-		p := strings.Repeat(fmt.Sprintf("region/emea/nation/germany/customer/cust-%06d|", i), 4)
-		want = append(want, p)
-		if _, err := w.Append([]byte(p)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if _, err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.BytesStored >= st.BytesAppended {
-		t.Fatalf("compression saved nothing: stored %d ≥ appended %d", st.BytesStored, st.BytesAppended)
-	}
-	check := func(w *WAL) {
+	prefix, _, want := goldenFrames(t)
+	check := func(w *WAL, extra int) {
 		t.Helper()
 		recs, order := collect(t, w)
-		if len(order) != len(want) {
-			t.Fatalf("replayed %d records, want %d", len(order), len(want))
+		if len(order) != len(want)+extra {
+			t.Fatalf("replayed %d records, want %d", len(order), len(want)+extra)
 		}
 		for i, p := range want {
-			if recs[uint64(i+1)] != p {
+			if recs[uint64(i+1)] != string(p) {
 				t.Fatalf("lsn %d: %q, want %q", i+1, recs[uint64(i+1)], p)
 			}
 		}
 	}
-	check(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay is format-agnostic: reopening with compression off still
-	// decompresses flagged frames (and vice versa — the knob can change
-	// between opens).
-	w = openTestWAL(t, prefix, WALOptions{SegmentBytes: 4096, Compress: false})
-	check(w)
+	w := openTestWAL(t, prefix, WALOptions{})
+	check(w, 0)
+	// Appending to the legacy log keeps it replayable as a whole: new frames
+	// are raw, old compressed frames still expand.
 	if _, err := w.Append(bytes.Repeat([]byte("raw-after"), 20)); err != nil {
 		t.Fatal(err)
 	}
-	w.Sync()
+	if _, err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	w.Close()
-	w = openTestWAL(t, prefix, opts)
+	w = openTestWAL(t, prefix, WALOptions{})
 	defer w.Close()
-	if _, order := collect(t, w); len(order) != len(want)+1 {
-		t.Fatalf("mixed raw/compressed log replayed %d records", len(order))
+	check(w, 1)
+}
+
+// TestGoldenFramesDecode: the shipping-layer decoder expands the golden
+// segment's compressed and raw frames alike to the recorded payloads.
+func TestGoldenFramesDecode(t *testing.T) {
+	_, segPath, want := goldenFrames(t)
+	data, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[walSegHeaderV2Size:]
+	_, compressed := frameFlags(t, body)
+	var nc int
+	for _, c := range compressed {
+		if c {
+			nc++
+		}
+	}
+	if nc == 0 || nc == len(compressed) {
+		t.Fatalf("golden segment has %d compressed of %d frames, want a mix", nc, len(compressed))
+	}
+	payloads, validLen, err := DecodeFrames(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if validLen != int64(len(body)) || len(payloads) != len(want) {
+		t.Fatalf("decoded %d frames / %d bytes, want %d / %d", len(payloads), validLen, len(want), len(body))
+	}
+	for i := range want {
+		if !bytes.Equal(payloads[i], want[i]) {
+			t.Fatalf("frame %d: %q, want %q", i, payloads[i], want[i])
+		}
 	}
 }
 
 func TestWALCompressedTornTailTruncated(t *testing.T) {
-	prefix := filepath.Join(t.TempDir(), "idx")
-	opts := WALOptions{Compress: true}
-	w := openTestWAL(t, prefix, opts)
-	payload := []byte(strings.Repeat("dimension/path/", 30))
-	for i := 0; i < 5; i++ {
-		if _, err := w.Append(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Sync()
-	path, _ := w.ActiveSegment()
-	w.Close()
-
-	// Flip one byte inside the last frame's payload: the CRC mismatch makes
-	// it a torn tail, truncated on reopen.
-	data, err := os.ReadFile(path)
+	prefix, segPath, want := goldenFrames(t)
+	data, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cut the segment right after its last compressed frame and flip one
+	// byte inside that frame's payload: the CRC mismatch makes it a torn
+	// tail, truncated on reopen.
+	offs, compressed := frameFlags(t, data[walSegHeaderV2Size:])
+	last := -1
+	for i, c := range compressed {
+		if c {
+			last = i
+		}
+	}
+	end := int64(len(data))
+	if last+1 < len(offs) {
+		end = walSegHeaderV2Size + offs[last+1]
+	}
+	data = data[:end]
 	data[len(data)-3] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(segPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w = openTestWAL(t, prefix, opts)
+	w := openTestWAL(t, prefix, WALOptions{})
 	defer w.Close()
-	if _, order := collect(t, w); len(order) != 4 {
-		t.Fatalf("replayed %d records after torn compressed tail, want 4", len(order))
+	recs, order := collect(t, w)
+	if len(order) != last {
+		t.Fatalf("replayed %d records after torn compressed tail, want %d", len(order), last)
+	}
+	for i := 0; i < last; i++ {
+		if recs[uint64(i+1)] != string(want[i]) {
+			t.Fatalf("lsn %d: %q, want %q", i+1, recs[uint64(i+1)], want[i])
+		}
 	}
 }
 
@@ -147,7 +170,7 @@ func TestWALCRCValidButUndecompressableIsCorrupt(t *testing.T) {
 	// A frame whose CRC verifies but whose compressed payload cannot be
 	// expanded cannot be a torn write (the CRC covers every stored byte) —
 	// it must surface as ErrWALCorrupt, never as a silent truncation or a
-	// panic.
+	// panic, through both WAL replay and the shipping decoder.
 	prefix := filepath.Join(t.TempDir(), "idx")
 	w := openTestWAL(t, prefix, WALOptions{})
 	if _, err := w.Append([]byte("good")); err != nil {
@@ -175,6 +198,13 @@ func TestWALCRCValidButUndecompressableIsCorrupt(t *testing.T) {
 	err = w.Replay(func(lsn uint64, payload []byte) error { return nil })
 	if !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("Replay = %v, want ErrWALCorrupt", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeFrames(data[walSegHeaderV2Size:]); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("DecodeFrames = %v, want ErrWALCorrupt", err)
 	}
 }
 

@@ -5,93 +5,23 @@ import (
 	"fmt"
 )
 
-// Dependency-free LZ77-style compression for WAL record payloads.
-//
-// Warehouse insert streams repeat heavily — dimension path prefixes, value
-// name stems, measure encodings — so even a small greedy matcher recovers
-// most of the redundancy at memcpy-like speeds. The format is deliberately
-// tiny and self-delimiting:
+// Read side of the LZ77-style WAL frame compression older builds could
+// enable per log. Nothing writes compressed frames any more, but logs and
+// shipped segments written with compression on still replay and mirror:
+// a frame whose length word has walFrameCompressed set holds
 //
 //	uvarint  decompressed length
 //	tokens:
 //	  0xxxxxxx                  literal run of (x+1) bytes, which follow
 //	  1xxxxxxx uvarint-distance match of length (x+4) at the given
 //	                            backwards distance (≥ 1)
-//
-// Compression is optional (WALOptions.Compress) and per-frame: a frame
-// whose compressed form is not smaller is stored raw, flagged by the top
-// bit of the frame's length word, so decompression cost is only ever paid
-// where the bytes were actually saved.
 
 const (
-	walLitMax   = 128 // longest literal run one token can carry
-	walMatchMin = 4   // shortest match worth a token
+	walMatchMin = 4 // shortest match a token encodes
 	walMatchMax = 127 + walMatchMin
-	// walCompressMin skips frames too small to amortize the token overhead.
-	walCompressMin = 32
-
-	walHashBits = 13
-	walHashLen  = 1 << walHashBits
 )
 
-// walHash4 hashes the 4 bytes at src[i:] into the match table.
-func walHash4(src []byte, i int) uint32 {
-	v := binary.LittleEndian.Uint32(src[i:])
-	return (v * 2654435761) >> (32 - walHashBits)
-}
-
-// walCompress returns the compressed form of src, or nil when compression
-// does not shrink it (the caller then stores the frame raw).
-func walCompress(src []byte) []byte {
-	if len(src) < walCompressMin {
-		return nil
-	}
-	dst := make([]byte, 0, len(src))
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	var table [walHashLen]int32 // position+1 of the last occurrence per hash
-	litStart := 0
-	i := 0
-	flushLits := func(end int) {
-		for litStart < end {
-			n := end - litStart
-			if n > walLitMax {
-				n = walLitMax
-			}
-			dst = append(dst, byte(n-1))
-			dst = append(dst, src[litStart:litStart+n]...)
-			litStart += n
-		}
-	}
-	for i+walMatchMin <= len(src) {
-		h := walHash4(src, i)
-		cand := int(table[h]) - 1
-		table[h] = int32(i + 1)
-		if cand < 0 || src[cand] != src[i] ||
-			binary.LittleEndian.Uint32(src[cand:]) != binary.LittleEndian.Uint32(src[i:]) {
-			i++
-			continue
-		}
-		length := walMatchMin
-		for i+length < len(src) && length < walMatchMax && src[cand+length] == src[i+length] {
-			length++
-		}
-		flushLits(i)
-		dst = append(dst, 0x80|byte(length-walMatchMin))
-		dst = binary.AppendUvarint(dst, uint64(i-cand))
-		i += length
-		litStart = i
-		if len(dst) >= len(src) {
-			return nil // already losing; store raw
-		}
-	}
-	flushLits(len(src))
-	if len(dst) >= len(src) {
-		return nil
-	}
-	return dst
-}
-
-// walDecompress expands a frame compressed by walCompress. It is fully
+// walDecompress expands a compressed frame payload. It is fully
 // bounds-checked: arbitrary (corrupt) input yields an error, never a panic
 // — decompression sits on the recovery path, where the input is whatever
 // the crash left behind.
