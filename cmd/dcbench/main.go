@@ -14,19 +14,7 @@
 //	-seed int       workload seed (default 1)
 //	-verify         cross-check all systems' answers on every query
 //	-csv            emit CSV instead of aligned tables
-//	-workers-sweep  sweep parallel query worker counts (-sweep-workers,
-//	                default 1,2,4,8) at the smallest size and print
-//	                per-worker-count throughput JSON; the cold variant
-//	                charges -cold-read-latency per node fault
-//	-wal            benchmark durable-insert throughput (WAL group commit
-//	                vs fsync per insert) and print JSON; tune with -wal-n,
-//	                -wal-workers, -wal-interval
-//	-snapshot-scan  benchmark insert tail latency during long concurrent
-//	                scans (locked live scans vs MVCC snapshot scans) and
-//	                print JSON; tune with -snapshot-n
-//	-mmap           benchmark the cold read path (heap decode vs zero-copy
-//	                flat views over the memory-mapped store file) and
-//	                print JSON; tune with -mmap-n, -mmap-queries
+//	-skip-ablation  omit the ablation table from -exp all
 //	-replica        benchmark log-shipping replication (primary overhead,
 //	                follower lag, drain, promotion) and print JSON; tune
 //	                with -replica-n, -replica-workers; add -sync for a
@@ -35,6 +23,10 @@
 // Example (the paper's full sweep — takes a while):
 //
 //	dcbench -exp all -n 100000,200000,300000
+//
+// Throughput, latency and per-layer cost of the engine under load (WAL
+// group commit, checkpoints, snapshots, the mmap read path) are measured
+// by the repository benchmark, perfbench/run.sh, not here.
 package main
 
 import (
@@ -44,7 +36,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/dcindex/dctree/internal/bench"
 )
@@ -57,23 +48,6 @@ func main() {
 	verify := flag.Bool("verify", false, "cross-check all systems' answers on every query")
 	csv := flag.Bool("csv", false, "emit CSV")
 	skipAblation := flag.Bool("skip-ablation", false, "omit the ablation table from -exp all")
-	metrics := flag.Bool("metrics", false, "run the query workload at the smallest size and dump DC-tree metrics in Prometheus text format")
-	workersSweep := flag.Bool("workers-sweep", false, "sweep parallel query worker counts at the smallest size and print per-worker-count throughput JSON")
-	sweepWorkers := flag.String("sweep-workers", "1,2,4,8", "comma-separated worker counts for -workers-sweep")
-	coldLatency := flag.Duration("cold-read-latency", 100*time.Microsecond, "per-node-fault read latency charged by the cold variant of -workers-sweep")
-	walBench := flag.Bool("wal", false, "benchmark durable-insert throughput: WAL group commit vs fsync per insert, JSON output")
-	walN := flag.Int("wal-n", 5000, "records inserted per variant of -wal")
-	walWorkers := flag.Int("wal-workers", 8, "concurrent inserters in the group-commit variants of -wal")
-	walInterval := flag.Duration("wal-interval", 2*time.Millisecond, "tuned commit interval for the tuned variants of -wal (the first group variant uses the default)")
-	walSyncDelay := flag.Duration("wal-sync-delay", 2*time.Millisecond, "modeled log-device latency for the -wal modeled-disk variants (added to every fsync)")
-	ckptBench := flag.Bool("checkpoint", false, "benchmark insert tail latency under periodic checkpoints: synchronous flush vs fuzzy checkpoint, JSON output")
-	ckptN := flag.Int("checkpoint-n", 20000, "records inserted per variant of -checkpoint")
-	ckptEvery := flag.Duration("checkpoint-every", 25*time.Millisecond, "checkpoint cadence for -checkpoint")
-	snapScan := flag.Bool("snapshot-scan", false, "benchmark insert tail latency during long concurrent scans: locked live scans vs MVCC snapshot scans, JSON output")
-	snapN := flag.Int("snapshot-n", 40000, "records inserted per variant of -snapshot-scan (half pre-loaded before the clock starts)")
-	mmapBench := flag.Bool("mmap", false, "benchmark the cold read path: heap decode vs zero-copy flat views over the memory-mapped store file, JSON output")
-	mmapN := flag.Int("mmap-n", 30000, "records indexed by -mmap")
-	mmapQueries := flag.Int("mmap-queries", 200, "cold queries per variant of -mmap")
 	replBench := flag.Bool("replica", false, "benchmark log-shipping replication: primary overhead, follower lag, drain and promotion, JSON output")
 	replN := flag.Int("replica-n", 20000, "records inserted per run of -replica")
 	replWorkers := flag.Int("replica-workers", 4, "concurrent inserters on the primary for -replica")
@@ -97,52 +71,6 @@ func main() {
 	}
 	opt.Sizes = ns
 
-	if *metrics {
-		if err := bench.MetricsDump(opt, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *walBench {
-		res, err := bench.WALBench(opt, *walN, *walWorkers, *walInterval, *walSyncDelay, "")
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *ckptBench {
-		res, err := bench.CheckpointBench(opt, *ckptN, *ckptEvery, "")
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *mmapBench {
-		res, err := bench.MmapBench(opt, *mmapN, *mmapQueries)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *replBench {
 		res, err := bench.ReplBench(opt, *replN, *replWorkers, "", *replSync)
 		if err != nil {
@@ -156,39 +84,9 @@ func main() {
 		return
 	}
 
-	if *snapScan {
-		res, err := bench.MVCCBench(opt, *snapN)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *workersSweep {
-		var workers []int
-		for _, part := range strings.Split(*sweepWorkers, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || w <= 0 {
-				fmt.Fprintf(os.Stderr, "dcbench: bad worker count %q\n", part)
-				os.Exit(2)
-			}
-			workers = append(workers, w)
-		}
-		res, err := bench.WorkersSweep(opt, workers, *coldLatency)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "dcbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	type driver func(bench.Options) (*bench.Table, error)

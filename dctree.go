@@ -305,8 +305,7 @@ type WALStats = storage.WALStats
 // (rotation size), RecyclePool (retired segments kept for reuse; 0 =
 // default of 4, negative disables), RetainSegments (extra sealed segments
 // kept below the retention floor for log-shipping followers — see
-// REPLICATION.md), and SyncDelay (modeled device latency, used by the
-// benchmarks). Frames are always written uncompressed; compressed frames
+// REPLICATION.md). Frames are always written uncompressed; compressed frames
 // from logs older builds wrote still replay.
 type WALOptions = storage.WALOptions
 

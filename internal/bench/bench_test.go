@@ -110,24 +110,43 @@ func TestFig13ReportsLevels(t *testing.T) {
 	}
 }
 
-func TestMetricsDump(t *testing.T) {
-	opt := tinyOptions()
-	opt.Verify = false
-	var b strings.Builder
-	if err := MetricsDump(opt, &b); err != nil {
-		t.Fatal(err)
+// TestDriversRejectBadOptions: a query count below one (a negative one
+// would panic in makeslice, zero would divide the per-query averages by
+// zero) and a missing or empty data-set size come back as errors from
+// every driver.
+func TestDriversRejectBadOptions(t *testing.T) {
+	noQueries := tinyOptions()
+	noQueries.QueriesPerPoint = 0
+	negQueries := tinyOptions()
+	negQueries.QueriesPerPoint = -1
+	noSizes := tinyOptions()
+	noSizes.Sizes = nil
+	badSize := tinyOptions()
+	badSize.Sizes = []int{600, 0}
+	drivers := map[string]func(Options) (*Table, error){
+		"fig11a":   Fig11aInsert,
+		"fig11b":   Fig11bInsertPerRecord,
+		"fig12a":   func(o Options) (*Table, error) { return Fig12Query(o, 0.01, "a") },
+		"fig12d":   Fig12dSeqScan,
+		"fig13":    Fig13NodeSizes,
+		"speedups": Speedups,
+		"rollup":   Rollup,
+		"bitmap":   Bitmap,
+		"views":    Views,
+		"ablation": Ablation,
+		"all": func(o Options) (*Table, error) {
+			_, err := All(o)
+			return nil, err
+		},
 	}
-	out := b.String()
-	for _, want := range []string{
-		"dctree_inserts_total 600",
-		"# TYPE dctree_query_duration_seconds histogram",
-		`dctree_splits_total{kind="hierarchy"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("MetricsDump output missing %q", want)
+	for _, bad := range []struct {
+		name string
+		opt  Options
+	}{{"queries=0", noQueries}, {"queries=-1", negQueries}, {"no sizes", noSizes}, {"size 0", badSize}} {
+		for name, run := range drivers {
+			if _, err := run(bad.opt); err == nil {
+				t.Errorf("%s accepted %s", name, bad.name)
+			}
 		}
-	}
-	if err := MetricsDump(Options{}, &b); err == nil {
-		t.Error("MetricsDump accepted empty Options")
 	}
 }

@@ -52,6 +52,24 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate rejects options the drivers cannot run: no data-set size, a
+// size below one record, or fewer than one query per point (the per-query
+// averages would divide by zero).
+func (opt Options) Validate() error {
+	if len(opt.Sizes) == 0 {
+		return fmt.Errorf("bench: no data-set size configured")
+	}
+	for _, n := range opt.Sizes {
+		if n < 1 {
+			return fmt.Errorf("bench: data-set size %d, want at least 1", n)
+		}
+	}
+	if opt.QueriesPerPoint < 1 {
+		return fmt.Errorf("bench: %d queries per point, want at least 1", opt.QueriesPerPoint)
+	}
+	return nil
+}
+
 // systems bundles the three competitors over one generated data set.
 type systems struct {
 	gen    *tpcd.Gen
@@ -306,6 +324,9 @@ func close6(a, b float64) bool {
 // Fig11aInsert regenerates Figure 11(a): total insertion time of the
 // DC-tree vs the X-tree over the data-set sizes.
 func Fig11aInsert(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Figure 11(a): Insertion Time (total)",
 		Note:    "paper: X-tree inserts significantly faster in total; both grow linearly",
@@ -330,6 +351,9 @@ func Fig11aInsert(opt Options) (*Table, error) {
 // time per data record, which must stay flat (≈0.025 s on 1999 hardware)
 // as the data set grows.
 func Fig11bInsertPerRecord(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Figure 11(b): DC-tree Insertion Time per Data Record",
 		Note:    "paper: ~0.025 s/record on a 1999 HP C160; flat in the data-set size",
@@ -348,6 +372,9 @@ func Fig11bInsertPerRecord(opt Options) (*Table, error) {
 // Fig12Query regenerates Figures 12(a)-(c): average time per range query,
 // DC-tree vs X-tree, at the given selectivity (0.01, 0.05, 0.25).
 func Fig12Query(opt Options, selectivity float64, figure string) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: fmt.Sprintf("Figure 12(%s): Time per Query, Selectivity %g%%",
 			figure, selectivity*100),
@@ -375,6 +402,9 @@ func Fig12Query(opt Options, selectivity float64, figure string) (*Table, error)
 // Fig12dSeqScan regenerates Figure 12(d): DC-tree vs sequential search at
 // selectivity 25 % (the DC-tree's worst case; still ≥12.5x in the paper).
 func Fig12dSeqScan(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Figure 12(d): Time per Query, Selectivity 25% — DC-tree vs Sequential Search",
 		Note:    "paper: ≥12.5x speedup even in the DC-tree's worst case",
@@ -403,6 +433,9 @@ func Fig12dSeqScan(opt Options) (*Table, error) {
 // stabilizing around 2.5x the single-block directory capacity (supernode
 // effect) while the highest level stabilizes near 15 entries.
 func Fig13NodeSizes(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Figure 13: Node Sizes (avg entries) per Level below the Root",
 		Note: fmt.Sprintf("directory capacity per block = %d; paper: 2nd level ≈ 2.5x capacity via supernodes",
@@ -435,6 +468,9 @@ func Fig13NodeSizes(opt Options) (*Table, error) {
 // the DC-tree over the X-tree per selectivity, and over the sequential
 // search at 25 %.
 func Speedups(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Headline speedups (DC-tree vs baselines, largest size)",
 		Note:    "paper: ≈4.5x vs X-tree across selectivities; ≥12.5x vs sequential search at 25%",
@@ -465,6 +501,9 @@ func Speedups(opt Options) (*Table, error) {
 // descending, while the X-tree and the scan must fetch every matching
 // record.
 func Rollup(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "OLAP roll-up queries (1-2 coarse dimensions constrained)",
 		Note:  "the paper's motivating workload; dc_mat_hits = subtrees answered from directory aggregates",
@@ -546,6 +585,9 @@ func (s *systems) rollupWork(opt Options) (queryWork, error) {
 // every qualifying fact row for the aggregation (secondary index), cannot
 // delete without a rebuild, and its memory grows with levels × values.
 func Bitmap(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Bitmap join index baseline (§2 related work)",
 		Note:  "bitmaps locate rows but still fetch every matching record; deletion requires a rebuild",
@@ -604,6 +646,9 @@ func Bitmap(opt Options) (*Table, error) {
 // insert costs the view store a full rebuild, while the DC-tree absorbs
 // it in microseconds and stays continuously queryable.
 func Views(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title: "Materialized-view baseline (HRU greedy selection, §2 related work)",
 		Note:  "update cost is the point: one insert ⇒ full view rebuild vs one dynamic DC-tree insert",
@@ -695,6 +740,9 @@ func Views(opt Options) (*Table, error) {
 // materialized aggregates on/off, supernodes on/off, and the split
 // overlap threshold.
 func Ablation(opt Options) (*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:   "Ablation: query time at selectivity 5% (smallest size)",
 		Columns: []string{"variant", "insert_s", "dc_ms_per_query", "height", "supernodes"},
@@ -779,6 +827,9 @@ func Ablation(opt Options) (*Table, error) {
 // figure from the shared builds, which keeps the paper-scale sweep
 // (100k–300k records) tractable.
 func All(opt Options) ([]*Table, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	builds := make([]*systems, len(opt.Sizes))
 	for i, n := range opt.Sizes {
 		s, err := build(opt, n, buildFlags{dc: true, x: true, scan: true, bm: true})

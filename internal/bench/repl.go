@@ -9,6 +9,7 @@ import (
 
 	"github.com/dcindex/dctree/internal/core"
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/repl"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -276,4 +277,31 @@ func ReplBench(opt Options, n, workers int, dir string, syncRun bool) (*ReplBenc
 		return nil, err
 	}
 	return res, sprim.Close()
+}
+
+// walBenchSchema builds a deliberately small cube (one two-level
+// dimension, one measure): the benchmark's subject is the commit and
+// shipping path, so the tree work per insert is kept light to not drown
+// the signal in MDS arithmetic. Records get unique leaf values in blocks
+// of 64 under one parent.
+func walBenchSchema(n int) (*cube.Schema, []cube.Record, error) {
+	h, err := hierarchy.New("K", "Leaf", "Top")
+	if err != nil {
+		return nil, nil, err
+	}
+	schema, err := cube.NewSchema([]*hierarchy.Hierarchy{h}, "V")
+	if err != nil {
+		return nil, nil, err
+	}
+	recs := make([]cube.Record, n)
+	for i := range recs {
+		recs[i], err = schema.InternRecord(
+			[][]string{{fmt.Sprintf("T%d", i/64), fmt.Sprintf("L%d", i)}},
+			[]float64{float64(i)},
+		)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return schema, recs, nil
 }

@@ -434,7 +434,7 @@ func (t *Tree) rollbackLocked(c *ckptCapture) {
 // checkpoints serialize. The context cancels only the background write
 // phase (the checkpoint rolls back); a started install always completes.
 func (t *Tree) Checkpoint(ctx context.Context) error {
-	return t.checkpoint(ctx, false)
+	return t.checkpoint(ctx)
 }
 
 // Flush writes all dirty nodes and the tree metadata to the store and
@@ -445,21 +445,13 @@ func (t *Tree) Checkpoint(ctx context.Context) error {
 // boundary — acknowledged mutations are already safe in the log before
 // Flush runs.
 func (t *Tree) Flush() error {
-	return t.checkpoint(context.Background(), false)
+	return t.checkpoint(context.Background())
 }
 
-// FlushSync is the pre-fuzzy baseline: capture, write and install all run
-// under one continuous hold of the tree write lock, stalling every writer
-// for the full duration. It persists the identical state and exists so the
-// checkpoint benchmark can measure what the fuzzy protocol buys.
-func (t *Tree) FlushSync() error {
-	return t.checkpoint(context.Background(), true)
-}
-
-// checkpoint runs one checkpoint, fuzzy or synchronous. The writer-stall
-// counter accumulates only the time writers were actually excluded, which
-// for the fuzzy path is the two short critical sections.
-func (t *Tree) checkpoint(ctx context.Context, sync bool) error {
+// checkpoint runs one fuzzy checkpoint. The writer-stall counter
+// accumulates only the time writers were actually excluded: the capture
+// and install critical sections.
+func (t *Tree) checkpoint(ctx context.Context) error {
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
 	// Retention runs at the start of every checkpoint (after serializing on
@@ -469,44 +461,23 @@ func (t *Tree) checkpoint(ctx context.Context, sync bool) error {
 	t.PruneVersions()
 	start := time.Now()
 
-	var (
-		c     *ckptCapture
-		err   error
-		stall time.Duration
-	)
-	if sync {
+	t.mu.Lock()
+	capStart := time.Now()
+	c, err := t.captureLocked()
+	stall := time.Since(capStart)
+	t.mu.Unlock()
+	if err == nil && !c.skip {
+		err = t.writeExtents(ctx, c)
 		t.mu.Lock()
-		c, err = t.captureLocked()
-		if err == nil && !c.skip {
-			if err = t.writeExtents(ctx, c); err == nil {
-				err = t.installLocked(c)
-			}
-			if err != nil {
-				t.rollbackLocked(c)
-			}
+		insStart := time.Now()
+		if err == nil {
+			err = t.installLocked(c)
 		}
-		stall = time.Since(start)
-		t.mu.Unlock()
-	} else {
-		t.mu.Lock()
-		capStart := time.Now()
-		c, err = t.captureLocked()
-		stall = time.Since(capStart)
-		t.mu.Unlock()
-		if err == nil && !c.skip {
-			werr := t.writeExtents(ctx, c)
-			t.mu.Lock()
-			insStart := time.Now()
-			if werr == nil {
-				werr = t.installLocked(c)
-			}
-			if werr != nil {
-				t.rollbackLocked(c)
-			}
-			stall += time.Since(insStart)
-			t.mu.Unlock()
-			err = werr
+		if err != nil {
+			t.rollbackLocked(c)
 		}
+		stall += time.Since(insStart)
+		t.mu.Unlock()
 	}
 
 	t.metrics.checkpointStallNs.Add(int64(stall))

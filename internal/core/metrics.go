@@ -203,10 +203,9 @@ type Metrics struct {
 	ReplSyncDegraded int64
 
 	// Fuzzy checkpoints. CheckpointWriterStallSeconds is the cumulative
-	// time writers were excluded by checkpoint critical sections — for the
-	// fuzzy protocol the capture and install phases only, for FlushSync the
-	// whole checkpoint; the gap between it and the latency histogram's sum
-	// is exactly what backgrounding the extent writes buys.
+	// time writers were excluded by checkpoint critical sections (the
+	// capture and install phases); the gap between it and the latency
+	// histogram's sum is what backgrounding the extent writes buys.
 	Checkpoints                  int64
 	CheckpointFailures           int64
 	CheckpointPagesWritten       int64

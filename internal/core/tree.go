@@ -84,9 +84,9 @@ type Tree struct {
 	dictMu      sync.Mutex
 	dictPending []dictDelta
 
-	// ckptMu serializes checkpoints (Checkpoint/Flush/FlushSync) end to
-	// end. Lock order: ckptMu strictly before t.mu — a checkpoint acquires
-	// t.mu twice (capture, install) and nothing that holds t.mu may start a
+	// ckptMu serializes checkpoints (Checkpoint/Flush) end to end. Lock
+	// order: ckptMu strictly before t.mu — a checkpoint acquires t.mu
+	// twice (capture, install) and nothing that holds t.mu may start a
 	// checkpoint. cp is the optional auto-trigger goroutine
 	// (CheckpointInterval/CheckpointDirtyBytes).
 	ckptMu sync.Mutex
@@ -125,10 +125,8 @@ type Tree struct {
 	// viewer is the store's zero-copy view interface, when it has one
 	// (PagedStore mmap views, MemStore in-memory extents). Clean layout-v3
 	// nodes are then queried in place as flatNodes instead of being decoded
-	// onto the heap. noZeroCopy turns the flat path off at runtime
-	// (SetZeroCopyReads) — benchmarks compare the two paths on one tree.
-	viewer     storage.ExtentViewer
-	noZeroCopy atomic.Bool
+	// onto the heap.
+	viewer storage.ExtentViewer
 
 	// metrics is the always-on observability instrumentation (atomic-only
 	// on hot paths); slowHook optionally records queries over a latency
@@ -251,7 +249,7 @@ func (t *Tree) getView(id nodeID) (nodeView, error) {
 		t.metrics.cacheHits.Inc()
 		return nodeView{n: n}, nil
 	}
-	if t.viewer != nil && !t.noZeroCopy.Load() {
+	if t.viewer != nil {
 		if ref, ok := t.table[id]; ok && ref.layout == layoutV3 {
 			if payload, _, err := t.viewer.ViewExtent(ref.page); err == nil {
 				f, ferr := makeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
@@ -271,12 +269,6 @@ func (t *Tree) getView(id nodeID) (nodeView, error) {
 	n, err := t.getNode(id)
 	return nodeView{n: n}, err
 }
-
-// SetZeroCopyReads toggles the flat-node read path at runtime (default
-// on). Off, every descent decodes nodes onto the heap through the node
-// cache — the pre-v3 behavior; dcbench -mmap uses the toggle to compare
-// the two paths over the same image.
-func (t *Tree) SetZeroCopyReads(enabled bool) { t.noZeroCopy.Store(!enabled) }
 
 // markDirty flags a node for the next Flush.
 func (t *Tree) markDirty(n *node) {

@@ -268,7 +268,7 @@ func (v *Version) getView(id nodeID) (nodeView, error) {
 		v.t.metrics.cacheHits.Inc()
 		return nodeView{n: n}, nil
 	}
-	if v.t.viewer != nil && !v.t.noZeroCopy.Load() {
+	if v.t.viewer != nil {
 		if _, inOverlay := v.overlay[id]; !inOverlay {
 			if ref, ok := v.table[id]; ok && ref.layout == layoutV3 {
 				if payload, _, err := v.t.viewer.ViewExtent(ref.page); err == nil {

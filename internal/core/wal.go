@@ -98,7 +98,7 @@ var ErrFenced = errors.New("dctree: replication epoch fenced (peer was promoted)
 // at CommitBytes pending payload) into one fsync, and acknowledgment
 // waiters block outside the tree lock until the durable frontier covers
 // their LSN. With a negative CommitInterval there is no committer: every
-// append fsyncs inline (the naive baseline dcbench -wal compares against).
+// append fsyncs inline.
 type walState struct {
 	w        *storage.WAL
 	interval time.Duration

@@ -35,9 +35,25 @@ func newPagedTree(t *testing.T, cfg Config, n int) (*Tree, *storage.PagedStore, 
 	return tree, st, recs, rng
 }
 
+// decodeOnly runs fn with the tree's zero-copy viewer detached, so every
+// read takes the decode path, and restores the viewer afterwards. It
+// fails the test if a flat view served any read meanwhile.
+func decodeOnly(t *testing.T, tree *Tree, fn func()) {
+	t.Helper()
+	viewer := tree.viewer
+	tree.viewer = nil
+	defer func() { tree.viewer = viewer }()
+	before := tree.Metrics().FlatNodeReads
+	fn()
+	if after := tree.Metrics().FlatNodeReads; after != before {
+		t.Fatalf("decode-only reads served %d flat views", after-before)
+	}
+}
+
 // TestZeroCopyQueryEquivalence: on a flushed layout-v3 image, every query —
 // serial, all-measures, and parallel — returns identical answers with the
-// flat view path on and off, and the flat path actually serves reads.
+// flat view path and through decoded nodes, and the flat path actually
+// serves reads.
 func TestZeroCopyQueryEquivalence(t *testing.T) {
 	tree, _, _, rng := newPagedTree(t, smallConfig(), 800)
 	if err := tree.Flush(); err != nil {
@@ -52,13 +68,14 @@ func TestZeroCopyQueryEquivalence(t *testing.T) {
 			{Query: q, Parallel: 4},
 		}
 		for _, req := range reqs {
-			tree.SetZeroCopyReads(false)
-			tree.EvictCache()
-			want, err := tree.Execute(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree.SetZeroCopyReads(true)
+			var want QueryResult
+			decodeOnly(t, tree, func() {
+				tree.EvictCache()
+				var err error
+				if want, err = tree.Execute(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			})
 			tree.EvictCache()
 			got, err := tree.Execute(context.Background(), req)
 			if err != nil {
@@ -105,10 +122,14 @@ func TestZeroCopyScanEquivalence(t *testing.T) {
 		}
 		return n, sum
 	}
-	tree.SetZeroCopyReads(false)
-	wantN, wantSum := count()
-	tree.SetZeroCopyReads(true)
+	var wantN int
+	var wantSum float64
+	decodeOnly(t, tree, func() { wantN, wantSum = count() })
+	flatBefore := tree.Metrics().FlatNodeReads
 	gotN, gotSum := count()
+	if tree.Metrics().FlatNodeReads == flatBefore {
+		t.Fatal("flat path never served a scan read")
+	}
 	if gotN != wantN || gotSum != wantSum {
 		t.Fatalf("flat scan (%d, %g) != decode scan (%d, %g)", gotN, gotSum, wantN, wantSum)
 	}

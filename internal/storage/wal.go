@@ -127,11 +127,6 @@ type WALOptions struct {
 	// SegmentBytes rotates the active segment once it reaches this size.
 	// ≤ 0 selects the 4 MiB default.
 	SegmentBytes int64
-	// SyncDelay models a slower log device by sleeping this long inside
-	// every Sync, on top of the real fsync. Benchmarks use it to study the
-	// disk-bound regime (commit latencies in the milliseconds) that fast
-	// container filesystems hide. 0 in production.
-	SyncDelay time.Duration
 	// RecyclePool caps how many truncated/rotated-out segment files are
 	// kept (renamed, not removed) for reuse by the next segment creation,
 	// avoiding the create/remove metadata churn of every checkpoint.
@@ -143,6 +138,11 @@ type WALOptions struct {
 	// tail the segment directory without an acknowledgment channel (the
 	// dynamic floor is SetRetainLSN). 0 retains nothing extra.
 	RetainSegments int
+
+	// syncDelay sleeps this long inside every Sync, after the real fsync.
+	// In-package tests set it to widen the window between the fsync and
+	// the durable-frontier update.
+	syncDelay time.Duration
 }
 
 // WALStats is a snapshot of the log's activity counters.
@@ -684,8 +684,8 @@ func (w *WAL) Sync() (uint64, error) {
 		return synced, nil
 	}
 	w.syncs.Add(1)
-	if w.opts.SyncDelay > 0 {
-		time.Sleep(w.opts.SyncDelay)
+	if w.opts.syncDelay > 0 {
+		time.Sleep(w.opts.syncDelay)
 	}
 
 	w.mu.Lock()

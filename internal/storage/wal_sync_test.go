@@ -52,10 +52,10 @@ func copyWALImage(t *testing.T, w *WAL, srcPrefix, dstPrefix string) {
 func TestWALSyncRotationRaceKeepsAckedRecords(t *testing.T) {
 	dir := t.TempDir()
 	prefix := filepath.Join(dir, "idx")
-	// Tiny segments force rotations constantly; SyncDelay widens the window
+	// Tiny segments force rotations constantly; syncDelay widens the window
 	// between the fsync and the frontier update that the rotation must not
 	// corrupt.
-	w := openTestWAL(t, prefix, WALOptions{SegmentBytes: 256, SyncDelay: time.Millisecond})
+	w := openTestWAL(t, prefix, WALOptions{SegmentBytes: 256, syncDelay: time.Millisecond})
 
 	var (
 		maxCovered atomic.Uint64
